@@ -124,9 +124,7 @@ def cmd_count(args) -> int:
     if args.method in ("closed", "all"):
         methods["closed_form"] = closed_form_count(args.n, args.p, args.N)
     if args.method in ("series", "all"):
-        methods["series"] = (
-            1 if args.N == 0 else count_from_series(args.n, args.p, args.N)
-        )
+        methods["series"] = count_from_series(args.n, args.p, args.N)
     computed = [v for v in methods.values() if v is not None]
     agree = len(set(computed)) == 1
     if args.format == "json":
@@ -228,10 +226,7 @@ def cmd_table(args) -> int:
             ).r_enumerated,
         )
         attempt("closed", lambda: closed_form_count(args.n, args.p, N))
-        attempt(
-            "series",
-            lambda: 1 if N == 0 else count_from_series(args.n, args.p, N),
-        )
+        attempt("series", lambda: count_from_series(args.n, args.p, N))
         values = [cells["enum"], cells["closed"], cells["series"]]
         agree = "" if any(v is None for v in values) else (
             "yes" if len(set(values)) == 1 else "no"

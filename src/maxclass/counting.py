@@ -6,7 +6,20 @@ representations is computed three independent ways and reconciled:
 * enumeration: walk every tail (e_2, ..., e_n) in (Z/p^N)^(n-1), keep
   the irreducible ones (some entry a unit mod p), and count one per
   orbit by keeping exactly the tails that equal their orbit's
-  lexicographic minimum;
+  lexicographic minimum.  The orbit of a tail is the set of columns
+  (rows 2..n) of its standard-form table, and column j+1 depends only
+  on column j: the bottom entry stays e_n and, going upward,
+  new[r] = old[r] + new[r+1] mod p^N.  That step is a bijection
+  (old[r] = new[r] - new[r+1] undoes it), so the columns run round a
+  single cycle through column 0 with no lead-in.  Each tail is
+  therefore walked one column at a time from column 0: the first
+  column lex-smaller than column 0 rejects it, and the first return to
+  column 0 accepts it.  The return time d is the number of distinct
+  columns, i.e. the orbit size; the table closes up after p^N columns,
+  so d divides p^N and is p^m for m the minimal stable index of rows
+  2..n.  A rejected tail costs only the columns up to its first
+  smaller one, and the accepted tails cost the sum of their orbit
+  sizes, which is the number of irreducible tails;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -38,6 +51,7 @@ from .errors import (
     BudgetExceededError,
     ExceptionalPrimeError,
     InternalCheckError,
+    MaxclassError,
 )
 from .rootlog import is_prime
 from .zeta import count_from_series
@@ -47,9 +61,21 @@ BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    """The tail budget: the argument, else $MAXCLASS_BUDGET, else 10^8.
+
+    Anything but a positive integer is a configuration error.
+    """
+    if budget is None:
+        text = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET))
+        try:
+            budget = int(text)
+        except ValueError:
+            raise MaxclassError(
+                f"{BUDGET_ENV_VAR}={text!r} is not an integer"
+            ) from None
+    if not isinstance(budget, int) or budget <= 0:
+        raise MaxclassError(f"the budget must be a positive integer, got {budget!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -132,10 +158,45 @@ def expected_census(n: int, p: int, N: int) -> dict[int, int]:
     return census
 
 
+def _orbit_size(tail: list[int], p: int, q: int) -> int:
+    """Orbit size of a canonical tail, or 0 if the tail is not canonical.
+
+    Walks the columns of the tail's table modulo q = p^N from column 0
+    (the tail itself).  Returns 0 at the first column lex-smaller than
+    column 0; otherwise returns the step d at which the walk comes back
+    to column 0, which is the orbit size.  The orbit-size law is checked
+    on every return: d must come within q steps and be a power of p.
+    """
+    base = list(tail)
+    col = list(tail)
+    upward = range(len(col) - 2, -1, -1)
+    for d in range(1, q + 1):
+        for r in upward:
+            x = col[r] + col[r + 1]  # both < q, so one subtraction reduces
+            col[r] = x - q if x >= q else x
+        if col < base:
+            return 0
+        if col == base:
+            size = 1
+            while size < d:
+                size *= p
+            if size == d:
+                return d
+            break
+    raise InternalCheckError(
+        f"orbit size law violated at tail {tuple(tail)} (p={p}, p^N={q}): "
+        f"the column walk did not return to column 0 after a power of p "
+        f"steps within p^N"
+    )
+
+
 def _count_tail_range(n: int, p: int, N: int, lo: int, hi: int):
     """Count canonical irreducible tails with index in [lo, hi).
 
-    Tails are indexed base-p^N with e_2 least significant.  Returns
+    Tails are indexed base-p^N with e_2 least significant.  Tails with
+    no unit entry are reducible and skipped; every other tail is kept
+    or rejected by the column walk of ``_orbit_size``, which stops at
+    the first lex-smaller column or at the return to column 0.  Returns
     (count, census) for the slice; slices merge by addition, so the
     total is independent of the sharding.
     """
@@ -151,32 +212,22 @@ def _count_tail_range(n: int, p: int, N: int, lo: int, hi: int):
             rem //= q
         if all(e % p == 0 for e in tail):
             continue  # no primitive entry: reducible
-        # Rows 2..n of the table, built by the forward recursion.
-        rows = [None] * width
-        rows[width - 1] = [tail[width - 1]] * q
-        for r in range(width - 2, -1, -1):
-            above = rows[r + 1]
-            cur = [tail[r]] * q
-            for j in range(1, q):
-                cur[j] = (above[j] + cur[j - 1]) % q
-            rows[r] = cur
-        cols = list(zip(*rows))
-        base = cols[0]
-        if any(c < base for c in cols[1:]):
-            continue  # a shift reaches something lex-smaller: not canonical
-        # Orbit size: p^m for the minimal stable index of these rows.
-        m = 0
-        while cols[p**m % q] != base:
-            m += 1
-        size = p**m
-        if len(set(cols)) != size:
-            raise InternalCheckError(
-                f"orbit size law violated at tail {tuple(tail)} "
-                f"(n={n}, p={p}, N={N})"
-            )
-        count += 1
-        census[size] = census.get(size, 0) + 1
+        size = _orbit_size(tail, p, q)
+        if size:
+            count += 1
+            census[size] = census.get(size, 0) + 1
     return count, census
+
+
+def _shard_bounds(total_tails: int, workers: int) -> list[int]:
+    """Split [0, total_tails) into at most workers and os.cpu_count() shards.
+
+    Returns the boundaries b_0 = 0 < b_1 < ... < b_k = total_tails of
+    the k shards [b_i, b_{i+1}), so more workers than cores never means
+    more processes than cores, nor more processes than tails.
+    """
+    shards = max(1, min(workers, total_tails, os.cpu_count() or 1))
+    return [total_tails * i // shards for i in range(shards + 1)]
 
 
 def enumerate_isoclasses(
@@ -203,17 +254,16 @@ def enumerate_isoclasses(
             f"{total_tails} tails exceed the enumeration budget {budget} "
             f"(override with the budget argument or {BUDGET_ENV_VAR})"
         )
-    if workers <= 1:
+    bounds = _shard_bounds(total_tails, workers)
+    if len(bounds) == 2:
         count, census = _count_tail_range(n, p, N, 0, total_tails)
     else:
-        shards = min(workers, total_tails)
-        bounds = [total_tails * i // shards for i in range(shards + 1)]
         count = 0
         census = {}
-        with ProcessPoolExecutor(max_workers=shards) as pool:
+        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
             jobs = [
-                pool.submit(_count_tail_range, n, p, N, bounds[i], bounds[i + 1])
-                for i in range(shards)
+                pool.submit(_count_tail_range, n, p, N, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
             ]
             for job in jobs:
                 c, cen = job.result()

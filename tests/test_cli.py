@@ -66,6 +66,14 @@ def test_count_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("setting", ["-5", "0", "lots"])
+def test_count_bad_budget_setting(capsys, monkeypatch, setting):
+    monkeypatch.setenv("MAXCLASS_BUDGET", setting)
+    code, _, err = run_cli(capsys, "count", "--n", "3", "--p", "5", "--N", "0")
+    assert code == 2
+    assert "MAXCLASS_BUDGET" in err or "budget" in err
+
+
 def test_count_nonprime(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "2", "--p", "6", "--N", "1")
     assert code == 2

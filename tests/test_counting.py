@@ -1,16 +1,31 @@
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxclass.checks import iter_specs
 from maxclass.counting import (
     CountReport,
+    _count_tail_range,
+    _orbit_size,
+    _shard_bounds,
     closed_form_count,
     enumerate_isoclasses,
     expected_census,
     resolve_budget,
 )
-from maxclass.errors import BudgetExceededError, ExceptionalPrimeError
-from maxclass.orbits import shift_orbit
+from maxclass.errors import (
+    BudgetExceededError,
+    ExceptionalPrimeError,
+    InternalCheckError,
+    MaxclassError,
+)
+from maxclass.orbits import canonical_tail, shift_orbit
+from maxclass.rootlog import PrimePower, is_prime
 from maxclass.stability import is_irreducible_depth
+from maxclass.standard_form import spec_from_tail
+from maxclass.zeta import count_from_series
 
 GRID = [
     *((2, 2, N) for N in range(1, 5)),
@@ -90,6 +105,40 @@ def test_budget_env_override(monkeypatch):
     assert resolve_budget() == 10**8
 
 
+@pytest.mark.parametrize("setting", ["0", "-5", "abc", "1.5", ""])
+def test_budget_env_must_be_positive_integer(monkeypatch, setting):
+    monkeypatch.setenv("MAXCLASS_BUDGET", setting)
+    with pytest.raises(MaxclassError, match="MAXCLASS_BUDGET|budget"):
+        resolve_budget()
+    with pytest.raises(MaxclassError):
+        enumerate_isoclasses(3, 5, 0)
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2.5])
+def test_budget_argument_must_be_positive_integer(budget):
+    with pytest.raises(MaxclassError, match="budget"):
+        resolve_budget(budget)
+
+
+def test_series_count_at_N_zero_is_one():
+    for n, p in [(2, 2), (3, 5), (4, 7), (5, 5)]:
+        assert count_from_series(n, p, 0) == 1
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_shard_count_is_capped(monkeypatch, cpus):
+    # Only the boundaries are computed: no process is started.
+    if cpus is not None:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cap = os.cpu_count() or 1
+    for total in (2, 7, 15625):
+        bounds = _shard_bounds(total, workers=10_000)
+        assert 1 <= len(bounds) - 1 <= min(cap, total)
+        assert bounds[0] == 0 and bounds[-1] == total
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    assert len(_shard_bounds(15625, workers=1)) == 2
+
+
 def test_triple_agreement_on_grid():
     for n, p, N in GRID:
         report = enumerate_isoclasses(n, p, N)
@@ -148,3 +197,90 @@ def test_report_structure():
     assert isinstance(report, CountReport)
     assert (report.n, report.p, report.N) == (3, 5, 1)
     assert report.r_enumerated == report.r_closed_form == report.r_series
+
+
+def tail_of(idx, n, q):
+    """The tail with index idx, base q with e_2 least significant."""
+    return [idx // q**i % q for i in range(n - 1)]
+
+
+def assert_walk_matches_orbits(n, p, N, indices):
+    """Each tail's keep/size verdict agrees with the orbit layer."""
+    pp = PrimePower(p, N)
+    for idx in indices:
+        tail = tail_of(idx, n, pp.dim)
+        spec = spec_from_tail(n, pp, tail)
+        want = (0, {})
+        if is_irreducible_depth(spec) and canonical_tail(spec) == tuple(tail):
+            want = (1, {shift_orbit(spec).size: 1})
+        assert _count_tail_range(n, p, N, idx, idx + 1) == want, (n, p, N, tail)
+
+
+def assert_range_splits(n, p, N, lo, mid, hi):
+    """Counting [lo, mid) and [mid, hi) separately gives [lo, hi)."""
+    c1, cen1 = _count_tail_range(n, p, N, lo, mid)
+    c2, cen2 = _count_tail_range(n, p, N, mid, hi)
+    merged = dict(cen1)
+    for size, orbits in cen2.items():
+        merged[size] = merged.get(size, 0) + orbits
+    assert (c1 + c2, merged) == _count_tail_range(n, p, N, lo, hi)
+
+
+def assert_methods_agree(n, p, N):
+    report = enumerate_isoclasses(n, p, N)
+    assert report.r_enumerated == closed_form_count(n, p, N)
+    assert report.r_enumerated == count_from_series(n, p, N)
+    assert report.orbit_census == expected_census(n, p, N)
+
+
+@pytest.mark.parametrize(
+    "n, p, N", [(2, 2, 3), (2, 3, 2), (3, 3, 2), (3, 5, 1), (4, 5, 1), (3, 3, 3)]
+)
+def test_walk_verdict_per_tail_exhaustive(n, p, N):
+    total = p ** ((n - 1) * N)
+    assert_walk_matches_orbits(n, p, N, range(total))
+    assert_methods_agree(n, p, N)
+    assert_range_splits(n, p, N, 0, total // 3, total)
+
+
+# Every non-exceptional point (p >= n) with at most 5000 tails.
+SMALL_POINTS = [
+    (n, p, N)
+    for n in range(2, 6)
+    for p in range(n, 5000)
+    if is_prime(p)
+    for N in range(1, 13)
+    if p ** ((n - 1) * N) <= 5000
+]
+
+
+@given(st.sampled_from(SMALL_POINTS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_walk_differential_random(point, data):
+    n, p, N = point
+    total = p ** ((n - 1) * N)
+    # The orbit layer builds a whole p^N-column table per tail, so the
+    # per-tail comparison runs on a drawn sample of tails.
+    indices = data.draw(st.lists(st.integers(0, total - 1), max_size=20))
+    assert_walk_matches_orbits(n, p, N, indices)
+    assert_methods_agree(n, p, N)
+    lo, mid, hi = sorted(data.draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+    assert_range_splits(n, p, N, lo, mid, hi)
+
+
+def test_orbit_size_law_rejects_return_time_not_a_power_of_p():
+    # Modulo 6 the columns of (0, 1) are (k, 1) for k = 0..5: column 0 is
+    # the least and the walk returns after 6 steps, a power of neither
+    # 2 nor 3.  Modulo 2 the same walk returns after 2 steps.
+    assert _orbit_size([0, 1], 2, 2) == 2
+    with pytest.raises(InternalCheckError, match="orbit size law"):
+        _orbit_size([0, 1], 2, 6)
+    with pytest.raises(InternalCheckError, match="orbit size law"):
+        _orbit_size([0, 1], 3, 6)
+
+
+def test_orbit_size_law_rejects_no_return_within_p_to_the_N():
+    # p = 2 < n - 1 = 3 is exceptional: the table does not close up after
+    # p^N = 2 columns, and the column walk of (0, 0, 1) needs 4 steps.
+    with pytest.raises(InternalCheckError, match="orbit size law"):
+        _orbit_size([0, 0, 1], 2, 2)

@@ -1,9 +1,10 @@
 import pytest
 
-from maxclass.errors import ExceptionalPrimeError
+from maxclass.errors import ExceptionalPrimeError, InternalCheckError
 from maxclass.checks import iter_specs
 from maxclass.rootlog import PrimePower
 from maxclass.stability import (
+    _verify_full_periodicity,
     is_irreducible_depth,
     is_irreducible_structural,
     minimal_stable_index,
@@ -115,3 +116,15 @@ def test_shallow_specs_repeat_early():
             step = p**d
             assert all(cols[c] == cols[(c + step) % q] for c in range(q))
             assert minimal_stable_index(rep) <= d
+
+
+def test_full_periodicity_check_runs_without_assertions():
+    # minimal_stable_index calls this only under __debug__; calling it
+    # directly keeps the drift check tested under python -O as well.
+    periodic = [(0, 1), (1, 1), (0, 1), (1, 1)]
+    _verify_full_periodicity(periodic, 2, 4)
+    drifted = [(0, 1), (1, 1), (0, 1), (2, 1)]
+    with pytest.raises(InternalCheckError, match="full periodicity failed"):
+        _verify_full_periodicity(drifted, 2, 4)
+    with pytest.raises(InternalCheckError):
+        _verify_full_periodicity(periodic, 1, 4)
