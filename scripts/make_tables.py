@@ -10,6 +10,7 @@ bug, and the script exits nonzero if one appears.
 import argparse
 import sys
 
+from maxclass.checks import COUNTING_GRID
 from maxclass.counting import enumerate_isoclasses
 from maxclass.zeta import (
     abscissa,
@@ -17,18 +18,6 @@ from maxclass.zeta import (
     render_text,
     zeta_closed_form,
 )
-
-GRID = [
-    *((2, 2, N) for N in range(1, 5)),
-    *((2, 3, N) for N in range(1, 4)),
-    *((3, 3, N) for N in range(1, 4)),
-    *((3, 5, N) for N in range(1, 3)),
-    *((3, 7, N) for N in range(1, 3)),
-    *((4, 5, N) for N in range(1, 3)),
-    (5, 5, 1),
-    (5, 7, 1),
-]
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -48,7 +37,7 @@ def main() -> int:
     print("== twist isoclass counts (enumerated / closed form / series) ==")
     print(f"{'n':>2} {'p':>3} {'N':>2} {'r':>8}  census")
     disagreements = 0
-    for n, p, N in GRID:
+    for n, p, N in COUNTING_GRID:
         report = enumerate_isoclasses(n, p, N)
         marker = "" if report.agree else "  << DISAGREE"
         disagreements += not report.agree

@@ -121,9 +121,12 @@ def cmd_count(args) -> int:
         )
         methods["enumerated"] = report.r_enumerated
         census = report.orbit_census
-    if args.method in ("closed", "all"):
+    if args.method == "all":
+        methods["closed_form"] = report.r_closed_form
+        methods["series"] = report.r_series
+    elif args.method == "closed":
         methods["closed_form"] = closed_form_count(args.n, args.p, args.N)
-    if args.method in ("series", "all"):
+    elif args.method == "series":
         methods["series"] = count_from_series(args.n, args.p, args.N)
     computed = [v for v in methods.values() if v is not None]
     agree = len(set(computed)) == 1

@@ -19,7 +19,12 @@ representations is computed three independent ways and reconciled:
   so d divides p^N and is p^m for m the minimal stable index of rows
   2..n.  A rejected tail costs only the columns up to its first
   smaller one, and the accepted tails cost the sum of their orbit
-  sizes, which is the number of irreducible tails;
+  sizes, which is the number of irreducible tails.  The walk runs on
+  numpy int64 blocks of tails, one column step for the whole block at
+  a time: each block walks a few columns, which settles most of its
+  rows, and the rows still walking are pooled across blocks and walked
+  to the end together.  int64 is exact below 2^62 tails, and larger
+  runs are refused up front;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -43,9 +48,12 @@ term rather than only in total.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -58,6 +66,13 @@ from .zeta import count_from_series
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
+# The enumeration's int64 tail indices, lex keys and x + y < 2 p^N sums
+# are exact below this many tails; a run that large could never finish.
+MAX_TAILS = 2**62
+# Tails decoded per block, and survivor rows walked together per pool flush.
+_BLOCK = 4096
+# Columns each block walks before its unsettled rows join the survivor pool.
+_EARLY_STEPS = 8
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -158,65 +173,119 @@ def expected_census(n: int, p: int, N: int) -> dict[int, int]:
     return census
 
 
-def _orbit_size(tail: list[int], p: int, q: int) -> int:
-    """Orbit size of a canonical tail, or 0 if the tail is not canonical.
+def _lex_keys(cols, q: int):
+    """Each column of ``cols`` as one integer that orders them lexicographically.
 
-    Walks the columns of the tail's table modulo q = p^N from column 0
-    (the tail itself).  Returns 0 at the first column lex-smaller than
-    column 0; otherwise returns the step d at which the walk comes back
-    to column 0, which is the orbit size.  The orbit-size law is checked
-    on every return: d must come within q steps and be a power of p.
+    Row 0 (e_2) is the most significant digit base q; the keys are
+    below q^(n-1), the number of tails, so they are exact in int64.
     """
-    base = list(tail)
-    col = list(tail)
-    upward = range(len(col) - 2, -1, -1)
-    for d in range(1, q + 1):
-        for r in upward:
-            x = col[r] + col[r + 1]  # both < q, so one subtraction reduces
-            col[r] = x - q if x >= q else x
-        if col < base:
-            return 0
-        if col == base:
-            size = 1
-            while size < d:
-                size *= p
-            if size == d:
-                return d
+    keys = cols[0].copy()
+    for row in cols[1:]:
+        keys *= q
+        keys += row
+    return keys
+
+
+def _orbit_sizes(base, col, p: int, q: int, walked: int = 0, steps: int | None = None):
+    """Walk the columns of a block of tails together; census the canonical ones.
+
+    ``base`` holds column 0 of each tail and ``col`` its column number
+    ``walked``, both as (n-1, rows) int64 arrays with e_2 in row 0;
+    ``col`` is overwritten.  Every row takes the step
+    new[r] = old[r] + new[r+1] mod q (both terms are below q, so one
+    conditional subtraction reduces), for at most ``steps`` more columns
+    and never beyond column q.  A row leaves at its first column that is
+    lex-smaller than column 0, which rejects it, or at its return to
+    column 0 after d columns, which keeps it with orbit size d.  The
+    orbit-size law is checked on every return: d must be a power of p,
+    and no row may still be walking at column q.
+
+    Returns (census, base, col): {orbit size: kept rows}, and column 0
+    and the current column of the rows still walking.
+    """
+    width = col.shape[0]
+    target = _lex_keys(base, q)
+    rows = np.arange(col.shape[1])
+    last = q if steps is None else min(q, walked + steps)
+    census: dict[int, int] = {}
+    for d in range(walked + 1, last + 1):
+        if not rows.size:
             break
-    raise InternalCheckError(
-        f"orbit size law violated at tail {tuple(tail)} (p={p}, p^N={q}): "
-        f"the column walk did not return to column 0 after a power of p "
-        f"steps within p^N"
+        for r in range(width - 2, -1, -1):
+            x = col[r]
+            x += col[r + 1]
+            np.subtract(x, q, out=x, where=x >= q)
+        keys = _lex_keys(col, q)
+        alive = keys > target
+        if alive.all():
+            continue
+        returned = keys == target
+        hits = int(np.count_nonzero(returned))
+        if hits:
+            if not _is_power(d, p):
+                raise _law_error(base[:, rows[returned.argmax()]], p, q)
+            census[d] = hits
+        col, target, rows = col[:, alive], target[alive], rows[alive]
+    if rows.size and last == q:
+        raise _law_error(base[:, rows[0]], p, q)
+    return census, base[:, rows], col
+
+
+def _is_power(d: int, p: int) -> bool:
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
+def _law_error(tail, p: int, q: int) -> InternalCheckError:
+    return InternalCheckError(
+        f"orbit size law violated at tail {tuple(int(e) for e in tail)} "
+        f"(p={p}, p^N={q}): the column walk did not return to column 0 "
+        f"after a power of p steps within p^N"
     )
 
 
 def _count_tail_range(n: int, p: int, N: int, lo: int, hi: int):
     """Count canonical irreducible tails with index in [lo, hi).
 
-    Tails are indexed base-p^N with e_2 least significant.  Tails with
-    no unit entry are reducible and skipped; every other tail is kept
-    or rejected by the column walk of ``_orbit_size``, which stops at
-    the first lex-smaller column or at the return to column 0.  Returns
-    (count, census) for the slice; slices merge by addition, so the
-    total is independent of the sharding.
+    Tails are indexed base-p^N with e_2 least significant.  They are
+    decoded in blocks of ``_BLOCK`` rows; rows with no unit entry are
+    reducible and dropped, and ``_orbit_sizes`` walks the rest
+    ``_EARLY_STEPS`` columns, which settles most of them.  The few rows
+    still walking join a survivor pool that is walked to the end once
+    it holds ``_BLOCK`` rows, and at the end of the range, so a block
+    never pays for up to p^N near-empty steps on its own.  All of this
+    is int64 arithmetic, exact below ``MAX_TAILS`` = 2^62 tails, which
+    ``enumerate_isoclasses`` refuses to reach.  Returns (count, census)
+    for the slice, in plain ints; slices merge by addition, so the
+    total is independent of the sharding and of the block size.
     """
     q = p**N
     width = n - 1
-    count = 0
-    census: dict[int, int] = {}
-    for idx in range(lo, hi):
-        rem = idx
-        tail = []
-        for _ in range(width):
-            tail.append(rem % q)
-            rem //= q
-        if all(e % p == 0 for e in tail):
-            continue  # no primitive entry: reducible
-        size = _orbit_size(tail, p, q)
-        if size:
-            count += 1
-            census[size] = census.get(size, 0) + 1
-    return count, census
+    census: Counter[int] = Counter()
+    pool: list[tuple] = []
+    pooled = 0
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        idx = np.arange(start, stop, dtype=np.int64)
+        tails = np.empty((width, idx.size), dtype=np.int64)
+        for r in range(width):
+            idx, tails[r] = np.divmod(idx, q)
+        tails = tails[:, (tails % p != 0).any(axis=0)]  # no unit entry: reducible
+        part, base, col = _orbit_sizes(tails, tails.copy(), p, q, steps=_EARLY_STEPS)
+        census.update(part)
+        if base.shape[1]:
+            pool.append((base, col))
+            pooled += base.shape[1]
+        if pool and (pooled >= _BLOCK or stop == hi):
+            part, _, _ = _orbit_sizes(
+                np.concatenate([b for b, _ in pool], axis=1),
+                np.concatenate([c for _, c in pool], axis=1),
+                p, q, walked=_EARLY_STEPS,
+            )
+            census.update(part)
+            pool, pooled = [], 0
+    return sum(census.values()), dict(census)
 
 
 def _shard_bounds(total_tails: int, workers: int) -> list[int]:
@@ -240,9 +309,11 @@ def enumerate_isoclasses(
     """Enumerate all tails and reconcile the count with the other methods.
 
     Keeps a tail iff it is irreducible and equals its own canonical
-    (lex-least) orbit representative, so memory stays O(1) per tail and
-    the tail space can be sharded across ``workers`` processes; the
-    reduction is a plain sum, deterministic under any sharding.
+    (lex-least) orbit representative, so memory stays bounded by a few
+    blocks of tails and the tail space can be sharded across ``workers``
+    processes; the reduction is a plain sum, deterministic under any
+    sharding.  More tails than the budget, or ``MAX_TAILS`` = 2^62 or
+    more, are refused before any work starts.
     """
     _validate_grid_point(n, p, N)
     budget = resolve_budget(budget)
@@ -253,6 +324,10 @@ def enumerate_isoclasses(
         raise BudgetExceededError(
             f"{total_tails} tails exceed the enumeration budget {budget} "
             f"(override with the budget argument or {BUDGET_ENV_VAR})"
+        )
+    if total_tails >= MAX_TAILS:
+        raise MaxclassError(
+            f"{total_tails} tails: the enumeration is exact only below 2^62 tails"
         )
     bounds = _shard_bounds(total_tails, workers)
     if len(bounds) == 2:

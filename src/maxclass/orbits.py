@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ExceptionalPrimeError, InternalCheckError
 from .stability import minimal_stable_index
-from .standard_form import EigenSpec, StandardFormRep, build_rep, spec_from_tail
+from .standard_form import EigenSpec, build_rep, spec_from_tail
 
 
 def _require_orbit_scope(spec: EigenSpec) -> None:
@@ -87,8 +87,3 @@ def canonical_tail(spec: EigenSpec) -> tuple[int, ...]:
     counts orbits without ever holding more than one orbit.
     """
     return min(shift_orbit(spec).tails)
-
-
-def orbit_of_rep(rep: StandardFormRep) -> ShiftOrbit:
-    """Orbit computed from an already-built table."""
-    return shift_orbit(rep.spec)

@@ -66,6 +66,22 @@ def test_count_budget(capsys):
     assert "budget" in err
 
 
+def test_count_refuses_2_to_the_62_tails_or_more(capsys, monkeypatch):
+    import maxclass.counting as counting
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(counting, "_count_tail_range", no_work)
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", no_work)
+    code, out, err = run_cli(
+        capsys, "count", "--n", "2", "--p", "2", "--N", "70", "--budget", str(2**80)
+    )
+    assert code == 2
+    assert out == ""
+    assert "2^62" in err
+
+
 @pytest.mark.parametrize("setting", ["-5", "0", "lots"])
 def test_count_bad_budget_setting(capsys, monkeypatch, setting):
     monkeypatch.setenv("MAXCLASS_BUDGET", setting)

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from maxclass.checks import iter_specs
 from maxclass.counting import (
     CountReport,
     _count_tail_range,
-    _orbit_size,
+    _orbit_sizes,
     _shard_bounds,
     closed_form_count,
     enumerate_isoclasses,
@@ -268,19 +269,47 @@ def test_walk_differential_random(point, data):
     assert_range_splits(n, p, N, lo, mid, hi)
 
 
+def orbit_size(tail, p, q):
+    """Orbit size of one canonical tail by the batched walk, 0 if rejected."""
+    base = np.array([tail], dtype=np.int64).T
+    census, rest, _ = _orbit_sizes(base, base.copy(), p, q)
+    assert rest.shape[1] == 0 and sum(census.values()) <= 1
+    return next(iter(census), 0)
+
+
 def test_orbit_size_law_rejects_return_time_not_a_power_of_p():
     # Modulo 6 the columns of (0, 1) are (k, 1) for k = 0..5: column 0 is
     # the least and the walk returns after 6 steps, a power of neither
     # 2 nor 3.  Modulo 2 the same walk returns after 2 steps.
-    assert _orbit_size([0, 1], 2, 2) == 2
+    assert orbit_size([0, 1], 2, 2) == 2
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        _orbit_size([0, 1], 2, 6)
+        orbit_size([0, 1], 2, 6)
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        _orbit_size([0, 1], 3, 6)
+        orbit_size([0, 1], 3, 6)
 
 
 def test_orbit_size_law_rejects_no_return_within_p_to_the_N():
     # p = 2 < n - 1 = 3 is exceptional: the table does not close up after
     # p^N = 2 columns, and the column walk of (0, 0, 1) needs 4 steps.
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        _orbit_size([0, 0, 1], 2, 2)
+        orbit_size([0, 0, 1], 2, 2)
+
+
+@pytest.mark.parametrize("n, p, N", [(3, 3, 3), (4, 5, 1), (2, 3, 4)])
+def test_range_count_is_independent_of_block_size(monkeypatch, n, p, N):
+    import maxclass.counting as counting
+
+    total = p ** ((n - 1) * N)
+    results = []
+    for block in (1, 3, 4096):
+        monkeypatch.setattr(counting, "_BLOCK", block)
+        for lo, hi in [(0, total), (1, total - 2), (total // 3, total // 2)]:
+            count, census = _count_tail_range(n, p, N, lo, hi)
+            assert type(count) is int
+            assert all(type(k) is int and type(v) is int for k, v in census.items())
+            assert count == sum(census.values())
+            results.append((block, lo, hi, count, census))
+    for block, lo, hi, count, census in results:
+        first = next(r for r in results if r[1:3] == (lo, hi))
+        assert (count, census) == first[3:], (block, lo, hi)
+    assert results[0][3:] == (closed_form_count(n, p, N), expected_census(n, p, N))
