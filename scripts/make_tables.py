@@ -11,9 +11,10 @@ import argparse
 import sys
 
 from maxclass.checks import COUNTING_GRID
-from maxclass.counting import enumerate_isoclasses
+from maxclass.counting import closed_form_count, enumerate_isoclasses
 from maxclass.zeta import (
     abscissa,
+    count_from_series,
     functional_equation_factor,
     render_text,
     zeta_closed_form,
@@ -39,8 +40,13 @@ def main() -> int:
     disagreements = 0
     for n, p, N in COUNTING_GRID:
         report = enumerate_isoclasses(n, p, N)
-        marker = "" if report.agree else "  << DISAGREE"
-        disagreements += not report.agree
+        agree = (
+            report.r_enumerated
+            == closed_form_count(n, p, N)
+            == count_from_series(n, p, N)
+        )
+        marker = "" if agree else "  << DISAGREE"
+        disagreements += not agree
         census = ", ".join(
             f"{cnt}x{size}" for size, cnt in sorted(report.orbit_census.items())
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle, zeta
-from .counting import enumerate_isoclasses, expected_census
+from .counting import closed_form_count, enumerate_isoclasses, expected_census
 from .orbits import shift_orbit, shift_spec
 from .rootlog import ExponentResidue, PrimePower, depth_of, depth_product_bound
 from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
@@ -353,19 +353,21 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
 
 def suite_counting(grid=None) -> list[PropertyResult]:
     grid = grid or COUNTING_GRID
-    agree_ok = True
     census_ok = True
     details = []
     for n, p, N in grid:
         report = enumerate_isoclasses(n, p, N)
-        agree_ok &= report.agree
         census_ok &= report.orbit_census == expected_census(n, p, N)
-        if not report.agree:
+        if not (
+            report.r_enumerated
+            == closed_form_count(n, p, N)
+            == zeta.count_from_series(n, p, N)
+        ):
             details.append(f"({n},{p},{N})")
     return [
         _result(
             "enumerated = closed form = series on the whole grid",
-            agree_ok,
+            not details,
             f"{len(grid)} grid points" + (f"; failed: {details}" if details else ""),
         ),
         _result("orbit census matches the case-split prediction", census_ok),

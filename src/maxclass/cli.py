@@ -115,18 +115,13 @@ def cmd_count(args) -> int:
     census = None
     if args.method in ("enum", "all"):
         report = enumerate_isoclasses(
-            args.n, args.p, args.N,
-            budget=resolve_budget(args.budget),
-            workers=args.threads,
+            args.n, args.p, args.N, budget=args.budget, workers=args.threads
         )
         methods["enumerated"] = report.r_enumerated
         census = report.orbit_census
-    if args.method == "all":
-        methods["closed_form"] = report.r_closed_form
-        methods["series"] = report.r_series
-    elif args.method == "closed":
+    if args.method in ("closed", "all"):
         methods["closed_form"] = closed_form_count(args.n, args.p, args.N)
-    elif args.method == "series":
+    if args.method in ("series", "all"):
         methods["series"] = count_from_series(args.n, args.p, args.N)
     computed = [v for v in methods.values() if v is not None]
     agree = len(set(computed)) == 1

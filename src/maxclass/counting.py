@@ -1,7 +1,11 @@
-"""Twist-isoclass counting: exhaustive enumeration vs closed form vs series.
+"""Twist-isoclass counting: exhaustive enumeration and the closed form.
 
 The number r_{p^N} of twist isoclasses of irreducible p^N-dimensional
-representations is computed three independent ways and reconciled:
+representations is computed three independent ways, so that each can
+catch the others' mistakes.  This module holds the first two and
+``zeta.count_from_series`` the third; the callers that need more than
+one (``checks.suite_counting``, the ``count`` and ``table`` commands)
+reconcile them:
 
 * enumeration: walk every tail (e_2, ..., e_n) in (Z/p^N)^(n-1), keep
   the irreducible ones (some entry a unit mod p), and count one per
@@ -38,7 +42,8 @@ representations is computed three independent ways and reconciled:
   double-count the all-trivial-rest case that the third term already
   covers, and only the N-1 version matches both the enumeration and the
   series expansion of the closed-form zeta factor.
-* series: the t^N coefficient of the closed-form rational function.
+* series (``zeta.count_from_series``): the t^N coefficient of the
+  closed-form rational function.
 
 The same case split predicts the whole orbit-size census, which
 ``expected_census`` exposes so the partition can be validated term by
@@ -50,19 +55,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    ExceptionalPrimeError,
-    InternalCheckError,
-    MaxclassError,
-)
-from .rootlog import is_prime
-from .zeta import count_from_series
+from .errors import BudgetExceededError, InternalCheckError, MaxclassError
+from .rootlog import validate_grid_point
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
@@ -95,35 +94,13 @@ def resolve_budget(budget: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class CountReport:
-    """The three counts plus the per-orbit-size census."""
+    """The enumerated count plus its per-orbit-size census."""
 
     n: int
     p: int
     N: int
     r_enumerated: int
-    r_closed_form: int
-    r_series: int
-    orbit_census: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def agree(self) -> bool:
-        return self.r_enumerated == self.r_closed_form == self.r_series
-
-    def census_total(self) -> int:
-        return sum(self.orbit_census.values())
-
-
-def _validate_grid_point(n: int, p: int, N: int) -> None:
-    if n < 2:
-        raise ValueError("the group family starts at n = 2")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if p < n:
-        raise ExceptionalPrimeError(
-            f"exceptional prime p={p} < n={n}: counting here requires p >= n"
-        )
+    orbit_census: dict[int, int]
 
 
 def closed_form_count(n: int, p: int, N: int) -> int:
@@ -132,7 +109,7 @@ def closed_form_count(n: int, p: int, N: int) -> int:
     N = 0 returns 1 (the trivial twist isoclass); for n = 2 the first
     two terms vanish identically and only (1 - 1/p) p^N survives.
     """
-    _validate_grid_point(n, p, N)
+    validate_grid_point(n, p, N)
     if N == 0:
         return 1
     unit_frac = 1 - Fraction(1, p)
@@ -154,7 +131,7 @@ def expected_census(n: int, p: int, N: int) -> dict[int, int]:
     (e_2 primitive, rest of max depth l) and 1 (e_2 primitive, rest
     trivial).
     """
-    _validate_grid_point(n, p, N)
+    validate_grid_point(n, p, N)
     if N == 0:
         return {1: 1}
     census: dict[int, int] = {}
@@ -306,7 +283,7 @@ def enumerate_isoclasses(
     budget: int | None = None,
     workers: int = 1,
 ) -> CountReport:
-    """Enumerate all tails and reconcile the count with the other methods.
+    """Count the twist isoclasses at (n, p, N) by enumerating all tails.
 
     Keeps a tail iff it is irreducible and equals its own canonical
     (lex-least) orbit representative, so memory stays bounded by a few
@@ -315,10 +292,10 @@ def enumerate_isoclasses(
     sharding.  More tails than the budget, or ``MAX_TAILS`` = 2^62 or
     more, are refused before any work starts.
     """
-    _validate_grid_point(n, p, N)
+    validate_grid_point(n, p, N)
     budget = resolve_budget(budget)
     if N == 0:
-        return CountReport(n, p, N, 1, 1, 1, {1: 1})
+        return CountReport(n, p, N, 1, {1: 1})
     total_tails = p ** ((n - 1) * N)
     if total_tails > budget:
         raise BudgetExceededError(
@@ -345,12 +322,4 @@ def enumerate_isoclasses(
                 count += c
                 for size, orbits in cen.items():
                     census[size] = census.get(size, 0) + orbits
-    return CountReport(
-        n,
-        p,
-        N,
-        r_enumerated=count,
-        r_closed_form=closed_form_count(n, p, N),
-        r_series=count_from_series(n, p, N),
-        orbit_census=dict(sorted(census.items())),
-    )
+    return CountReport(n, p, N, count, dict(sorted(census.items())))

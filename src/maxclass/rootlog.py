@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatchError, GuardExceededError
+from .errors import ContextMismatchError, ExceptionalPrimeError, GuardExceededError
 
 DEFAULT_TABLE_GUARD = 10**6
 
@@ -32,6 +32,24 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def validate_grid_point(n: int, p: int, N: int) -> None:
+    """Refuse an (n, p, N) that no counting method covers.
+
+    Every counting method calls this, so each refuses bad input on its
+    own: n < 2, a non-prime p, N < 0, or an exceptional prime p < n.
+    """
+    if n < 2:
+        raise ValueError("the group family starts at n = 2")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if p < n:
+        raise ExceptionalPrimeError(
+            f"exceptional prime p={p} < n={n}: counting here requires p >= n"
+        )
 
 
 @dataclass(frozen=True)

@@ -64,23 +64,6 @@ def simplex_mod(k: int, j: int, p: int, N: int) -> int:
     return simplex(k, j) % q
 
 
-def simplex_row_mod(max_k: int, p: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """All residues T_d(j) mod p^N for 0 <= d <= max_k, 0 <= j < p^N.
-
-    Built by the additive recursion, which is exact on residues; one row
-    per d.  This is the table the standard-form builder consumes.
-    """
-    q = p**N
-    rows = [tuple([1] * q)]
-    for _ in range(max_k):
-        prev = rows[-1]
-        cur = [0] * q
-        for j in range(1, q):
-            cur[j] = (cur[j - 1] + prev[j]) % q
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
 @dataclass(frozen=True)
 class SimplexTable:
     """An exact table of T_k(j) for 0 <= k <= max_k, 0 <= j <= max_j."""
@@ -119,6 +102,17 @@ class SimplexTable:
                         raise InternalCheckError(
                             f"recursion fails at ({k},{j})"
                         )
+
+
+def simplex_row_mod(max_k: int, p: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """All residues T_d(j) mod p^N for 0 <= d <= max_k, 0 <= j < p^N.
+
+    The rows of the exact ``SimplexTable`` reduced mod p^N; one row per
+    d.  This is the table the standard-form builder consumes.
+    """
+    q = p**N
+    table = SimplexTable.build(max_k, q - 1)
+    return tuple(tuple(v % q for v in row) for row in table.values)
 
 
 def scaled_congruence_holds(k: int, p: int, N: int, m: int, alpha: int) -> bool:

@@ -82,8 +82,6 @@ def is_irreducible_depth(spec: EigenSpec) -> bool:
             f"exceptional prime p={p} < n={n}: irreducibility by depth is only "
             f"valid for p >= n; smaller primes are outside this toolkit's scope"
         )
-    if spec.pp.N == 0:
-        return True
     return any(e % p != 0 for e in spec.tail)
 
 

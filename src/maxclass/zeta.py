@@ -25,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import InternalCheckError
+from .rootlog import validate_grid_point
 
 
 class BivariatePolynomial:
@@ -339,6 +340,7 @@ def zeta_closed_form(n: int) -> BivariateRationalFunction:
 
 def count_from_series(n: int, p: int, N: int) -> int:
     """r_{p^N} as the t^N series coefficient of the closed form."""
+    validate_grid_point(n, p, N)
     return series_coefficients(zeta_closed_form(n), p, N)[N]
 
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from maxclass import checks, oracle
-from maxclass.counting import enumerate_isoclasses, expected_census
+from maxclass.counting import closed_form_count, enumerate_isoclasses, expected_census
 from maxclass.orbits import shift_orbit
 from maxclass.stability import (
     is_irreducible_depth,
@@ -19,6 +19,7 @@ from maxclass.standard_form import build_rep
 from maxclass.zeta import (
     BivariatePolynomial,
     abscissa,
+    count_from_series,
     functional_equation_check,
     functional_equation_factor,
     zeta_closed_form,
@@ -58,8 +59,11 @@ def test_criterion_1_triple_agreement():
     failures = []
     for n, p, N in COUNTING_GRID:
         report = enumerate_isoclasses(n, p, N)
-        if not report.agree:
-            failures.append(((n, p, N), report))
+        counts = (
+            report.r_enumerated, closed_form_count(n, p, N), count_from_series(n, p, N)
+        )
+        if len(set(counts)) != 1:
+            failures.append(((n, p, N), counts))
         want = SPOT_VALUES.get((n, p, N))
         if want is not None and report.r_enumerated != want:
             failures.append(((n, p, N), report.r_enumerated, want))

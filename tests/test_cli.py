@@ -52,6 +52,55 @@ def test_count_json_schema(capsys):
     assert payload["agree"] is True
 
 
+@pytest.mark.parametrize(
+    "n, p, message", [(3, 4, "p=4 is not prime"), (5, 3, "exceptional prime p=3 < n=5")]
+)
+def test_count_series_refuses_bad_input(capsys, n, p, message):
+    code, out, err = run_cli(
+        capsys, "count", "--n", str(n), "--p", str(p), "--N", "2", "--method", "series"
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("a counting method that was not asked for ran")
+
+
+def test_count_enum_runs_no_other_method(capsys, monkeypatch):
+    import maxclass.cli as cli
+    import maxclass.counting as counting
+    import maxclass.zeta as zeta
+
+    for module in (cli, counting):
+        monkeypatch.setattr(module, "closed_form_count", fail_if_called)
+    for module in (cli, zeta):
+        monkeypatch.setattr(module, "count_from_series", fail_if_called)
+    code, out, _ = run_cli(
+        capsys, "count", "--n", "3", "--p", "5", "--N", "2", "--method", "enum"
+    )
+    assert code == 0
+    assert "r (enumerated)  = 56" in out
+    assert "agreement: yes" in out
+
+
+@pytest.mark.parametrize(
+    "method, line",
+    [("closed", "r (closed form) = 56"), ("series", "r (series)      = 56")],
+)
+def test_count_closed_and_series_run_no_enumeration(capsys, monkeypatch, method, line):
+    import maxclass.cli as cli
+
+    monkeypatch.setattr(cli, "enumerate_isoclasses", fail_if_called)
+    code, out, _ = run_cli(
+        capsys, "count", "--n", "3", "--p", "5", "--N", "2", "--method", method
+    )
+    assert code == 0
+    assert line in out
+    assert "agreement: yes" in out
+
+
 def test_count_exceptional_prime(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "4", "--p", "3", "--N", "1")
     assert code == 2
@@ -149,6 +198,18 @@ def test_verify_pass(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_counting_catches_a_wrong_closed_form(capsys, monkeypatch):
+    import maxclass.checks as checks
+    from maxclass.counting import closed_form_count
+
+    monkeypatch.setattr(
+        checks, "closed_form_count", lambda n, p, N: closed_form_count(n, p, N) + 1
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "counting")
+    assert code == 1
+    assert "[FAIL] enumerated = closed form = series on the whole grid" in out
+
+
 def test_verify_orbit_suite_with_grid(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "shout", "--n", "3", "--p", "5", "--N", "1"
@@ -200,6 +261,17 @@ def test_table_records_cell_errors(capsys):
     assert last[3] == ""  # enumeration cell empty
     assert last[4] == "56"  # closed form still fine
     assert "budget" in last[7]
+
+
+def test_table_series_cells_refuse_an_exceptional_prime(capsys):
+    code, out, _ = run_cli(capsys, "table", "--n", "5", "--p", "3", "--max-N", "1")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    for line in rows:
+        cells = line.split("\t")
+        assert cells[3:7] == ["", "", "", ""]
+        assert "series: exceptional prime p=3 < n=5" in cells[7]
 
 
 def test_dump_schema_and_content(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -143,8 +144,11 @@ def test_shard_count_is_capped(monkeypatch, cpus):
 def test_triple_agreement_on_grid():
     for n, p, N in GRID:
         report = enumerate_isoclasses(n, p, N)
-        assert report.agree, (n, p, N, report)
-        assert report.census_total() == report.r_enumerated
+        counts = (
+            report.r_enumerated, closed_form_count(n, p, N), count_from_series(n, p, N)
+        )
+        assert len(set(counts)) == 1, (n, p, N, counts)
+        assert sum(report.orbit_census.values()) == report.r_enumerated
 
 
 def test_census_matches_case_split():
@@ -196,8 +200,12 @@ def test_parallel_enumeration_is_deterministic():
 def test_report_structure():
     report = enumerate_isoclasses(3, 5, 1)
     assert isinstance(report, CountReport)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "n", "p", "N", "r_enumerated", "orbit_census"
+    ]
     assert (report.n, report.p, report.N) == (3, 5, 1)
-    assert report.r_enumerated == report.r_closed_form == report.r_series
+    assert report.r_enumerated == closed_form_count(3, 5, 1) == 8
+    assert report.r_enumerated == count_from_series(3, 5, 1)
 
 
 def tail_of(idx, n, q):
