@@ -16,7 +16,9 @@ from fractions import Fraction
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census
 from .orbits import shift_orbit, shift_spec
-from .rootlog import ExponentResidue, PrimePower, depth_of, depth_product_bound
+from .rootlog import (
+    ExponentResidue, PrimePower, depth_of, depth_product_bound, validate_grid_point
+)
 from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
 from .stability import (
     is_irreducible_depth,
@@ -274,7 +276,7 @@ def suite_stability(grid=None) -> list[PropertyResult]:
             rep = build_rep(spec, validate=False)
             if p >= n:
                 equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
-            cols = [rep.column(j) for j in range(1, q + 1)]
+            cols = rep.columns()
             for c1 in range(q):
                 for c2 in range(c1 + 1, q):
                     if cols[c1] == cols[c2]:
@@ -390,18 +392,8 @@ def suite_zeta(grid=None) -> list[PropertyResult]:
     out.append(_result("abscissa n-2 for n >= 3 and 1 for n = 2", ok))
     ok = all(zeta.geometric_assembly(n) == zeta.zeta_closed_form(n) for n in range(2, 9))
     out.append(_result("geometric-series assembly reduces to the closed form", ok))
-    mono = zeta.BivariatePolynomial.monomial
-
-    def middle_product(n):
-        coef = (mono(1) - mono(1, -1, 0)) * (mono(1) - mono(1, -(n - 2), 0))
-        return (
-            zeta.BivariateRationalFunction(coef)
-            * zeta.BivariateRationalFunction(mono(1, 1, 1), ((1, 1),))
-            * zeta.BivariateRationalFunction(mono(1, n - 2, 1), ((n - 2, 1),))
-        )
-
     ok = all(
-        zeta.middle_term_partial_fractions(n) == middle_product(n)
+        zeta.middle_term_partial_fractions(n) == zeta.middle_term_product(n)
         for n in range(2, 9)
         if n != 3
     )
@@ -427,6 +419,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
     tol_ok = True
     checked = 0
     for n, p, N in grid:
+        validate_grid_point(n, p, N)
         for spec in iter_specs(n, p, N):
             checked += 1
             rep = build_rep(spec, validate=False)
@@ -434,9 +427,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             relations_ok &= oracle.check_relations(c)
             commutant = oracle.commutant_dimension(c)
             structural = is_irreducible_structural(rep)
-            equiv_ok &= (commutant == 1) == structural
-            if p >= n:
-                equiv_ok &= (commutant == 1) == is_irreducible_depth(spec)
+            equiv_ok &= (commutant == 1) == structural == is_irreducible_depth(spec)
             if commutant == 1:
                 census_ok &= oracle.mutual_eigenspace_census(c) == (p**N, 1)
             minimal = minimal_stable_index(rep)

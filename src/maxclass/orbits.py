@@ -68,9 +68,7 @@ def shift_orbit(spec: EigenSpec) -> ShiftOrbit:
     """
     _require_orbit_scope(spec)
     rep = build_rep(spec, validate=False)
-    tails = frozenset(
-        rep.column(offset + 1, first_row=2) for offset in range(rep.dim)
-    )
+    tails = frozenset(rep.columns(2))
     m = minimal_stable_index(rep, first_row=2)
     if len(tails) != spec.pp.p**m:
         raise InternalCheckError(

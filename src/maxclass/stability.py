@@ -26,11 +26,6 @@ from .errors import ExceptionalPrimeError, InternalCheckError
 from .standard_form import EigenSpec, StandardFormRep
 
 
-def _columns(rep: StandardFormRep, first_row: int) -> list[tuple[int, ...]]:
-    rows = rep.rows[first_row - 1 :]
-    return list(zip(*rows))
-
-
 def minimal_stable_index(rep: StandardFormRep, first_row: int = 1) -> int:
     """Minimal j such that V_{p^j} is stable for rows first_row..n.
 
@@ -45,7 +40,7 @@ def minimal_stable_index(rep: StandardFormRep, first_row: int = 1) -> int:
     p = rep.spec.pp.p
     N = rep.spec.pp.N
     q = rep.dim
-    cols = _columns(rep, first_row)
+    cols = rep.columns(first_row)
     base = cols[0]
     for j in range(N + 1):
         step = p**j % q

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError
-from .rootlog import DEFAULT_TABLE_GUARD, ExponentResidue, PrimePower, depth_of
+from .rootlog import DEFAULT_TABLE_GUARD, PrimePower, depth_of
 from .simplex import simplex_row_mod
 
 
@@ -76,14 +76,6 @@ class EigenSpec:
         """(e_2, ..., e_n) - the part twisting cannot change."""
         return self.exponents[1:]
 
-    @property
-    def p(self) -> int:
-        return self.pp.p
-
-    @property
-    def N(self) -> int:
-        return self.pp.N
-
     def max_tail_depth(self) -> int:
         return max(depth_of(e, self.pp.p, self.pp.N) for e in self.tail)
 
@@ -120,13 +112,14 @@ class StandardFormRep:
             raise ValueError(f"row index {i} out of range [1, {self.n}]")
         return self.rows[i - 1][(j - 1) % self.dim]
 
-    def residue(self, i: int, j: int) -> ExponentResidue:
-        return ExponentResidue(self.entry(i, j), self.spec.pp)
-
     def column(self, j: int, first_row: int = 1) -> tuple[int, ...]:
         """The joint eigenvalue exponents (E[first_row][j], ..., E[n][j])."""
         j0 = (j - 1) % self.dim
         return tuple(row[j0] for row in self.rows[first_row - 1 :])
+
+    def columns(self, first_row: int = 1) -> list[tuple[int, ...]]:
+        """Every column (rows first_row..n), in order from column 1."""
+        return list(zip(*self.rows[first_row - 1 :]))
 
     def to_json_dict(self) -> dict:
         return {

@@ -124,57 +124,45 @@ def _factor_poly(a: int, b: int) -> BivariatePolynomial:
     return BivariatePolynomial({(0, 0): 1, (a, b): -1})
 
 
+def _swapped(poly: BivariatePolynomial) -> BivariatePolynomial:
+    """The polynomial with the roles of p and t exchanged."""
+    return BivariatePolynomial({(t, pe): c for (pe, t), c in poly.terms.items()})
+
+
 def divide_exact(
     num: BivariatePolynomial, a: int, b: int
 ) -> BivariatePolynomial | None:
     """Exact quotient num / (1 - p^a t^b), or None if not divisible.
 
-    For b >= 1 the division runs down the t-degree (the divisor's
-    leading t-coefficient -p^a is a unit in the Laurent ring); for
-    b = 0 it runs down the p-degree within each t-slice.
+    The division runs down the t-degree (the divisor's leading
+    t-coefficient -p^a is a unit in the Laurent ring).  A t-free factor
+    (1 - p^a) is the same division with p and t swapped.
     """
     if not num:
         return BivariatePolynomial.zero()
+    if b <= 0:
+        if a == 0:
+            raise ValueError("cannot divide by the zero factor (1 - 1)")
+        if a < 0:
+            raise ValueError("factors must be normalized before division")
+        q = divide_exact(_swapped(num), 0, a)
+        return None if q is None else _swapped(q)
     terms = dict(num.terms)
     quotient: dict[tuple[int, int], int] = {}
-    if b >= 1:
-        min_t = min(t for (_, t) in terms)
-        while terms:
-            d = max(t for (_, t) in terms)
-            if d - b < min_t:
-                return None
-            # Eliminate the whole t^d slice against the -p^a t^b term.
-            slice_d = [(pe, c) for (pe, te), c in terms.items() if te == d]
-            for pe, c in slice_d:
-                qk = (pe - a, d - b)
-                quotient[qk] = quotient.get(qk, 0) - c
-                lo = (pe - a, d - b)
-                terms[lo] = terms.get(lo, 0) + c
-                if terms[lo] == 0:
-                    del terms[lo]
-                del terms[(pe, d)]
-        return BivariatePolynomial(quotient)
-    # b == 0: a must be nonzero; divide each t-slice by (1 - p^a).
-    if a == 0:
-        raise ValueError("cannot divide by the zero factor (1 - 1)")
-    if a < 0:
-        raise ValueError("factors must be normalized before division")
-    slices: dict[int, dict[int, int]] = {}
-    for (pe, te), c in terms.items():
-        slices.setdefault(te, {})[pe] = c
-    for te, sl in slices.items():
-        min_p = min(sl)
-        while sl:
-            d = max(sl)
-            if d - a < min_p:
-                return None
-            c = sl.pop(d)
-            qk = (d - a, te)
+    min_t = min(t for (_, t) in terms)
+    while terms:
+        d = max(t for (_, t) in terms)
+        if d - b < min_t:
+            return None
+        # Eliminate the whole t^d slice against the -p^a t^b term.
+        slice_d = [(pe, c) for (pe, te), c in terms.items() if te == d]
+        for pe, c in slice_d:
+            qk = (pe - a, d - b)
             quotient[qk] = quotient.get(qk, 0) - c
-            lo = d - a
-            sl[lo] = sl.get(lo, 0) + c
-            if sl[lo] == 0:
-                del sl[lo]
+            terms[qk] = terms.get(qk, 0) + c
+            if terms[qk] == 0:
+                del terms[qk]
+            del terms[(pe, d)]
     return BivariatePolynomial(quotient)
 
 
@@ -214,25 +202,18 @@ class BivariateRationalFunction:
     __slots__ = ("num", "den_factors")
 
     def __init__(self, num: BivariatePolynomial, den_factors=()):
+        # One pass suffices: a factor that does not divide num cannot
+        # divide num / F either, and a zero num absorbs every factor.
         factors: list[tuple[int, int]] = []
         for a, b in den_factors:
             canon, mult = _normalize_factor(a, b)
-            factors.append(canon)
             if mult is not None:
                 num = num * mult
-        if not num:
-            factors = []
-        else:
-            changed = True
-            while changed:
-                changed = False
-                for i, (a, b) in enumerate(factors):
-                    q = divide_exact(num, a, b)
-                    if q is not None:
-                        num = q
-                        factors.pop(i)
-                        changed = True
-                        break
+            q = divide_exact(num, *canon)
+            if q is None:
+                factors.append(canon)
+            else:
+                num = q
         self.num = num
         self.den_factors = tuple(sorted(factors))
 
@@ -366,18 +347,10 @@ def functional_equation_factor(n: int) -> int | None:
     """The exponent k with Z_n |_{p -> 1/p, t -> 1/t} = p^k Z_n, if any."""
     f = zeta_closed_form(n)
     g = f.invert_variables()
-    if Counter(g.den_factors) != Counter(f.den_factors):
+    if g.den_factors != f.den_factors or not f.num or not g.num:
         return None
-    if not f.num or not g.num:
-        return None
-    (pe_f, te_f) = min(f.num.terms)
-    (pe_g, te_g) = min(g.num.terms)
-    if te_f != te_g:
-        return None
-    k = pe_g - pe_f
-    if g.num == f.num.shifted(k, 0):
-        return k
-    return None
+    k = min(g.num.terms)[0] - min(f.num.terms)[0]
+    return k if g.num == f.num.shifted(k, 0) else None
 
 
 def functional_equation_check(n: int) -> bool:
@@ -401,8 +374,9 @@ def geometric_assembly(n: int) -> BivariateRationalFunction:
         (1 - 1/p)(1 - p^-(n-2)) * (p t / (1 - p t)) * (p^(n-2) t / (1 - p^(n-2) t)),
 
     which is what the double geometric series sums to for every n >= 2;
-    see ``middle_term_partial_fractions`` for the equivalent
-    partial-fraction shape that exists away from n = 3.
+    see ``middle_term_product``, and ``middle_term_partial_fractions``
+    for the equivalent partial-fraction shape that exists away from
+    n = 3.
     """
     if n < 2:
         raise ValueError("the group family starts at n = 2")
@@ -415,17 +389,24 @@ def geometric_assembly(n: int) -> BivariateRationalFunction:
     )
     # (1 - 1/p) p t / (1 - p t); numerator p t - t.
     last = BivariateRationalFunction(mono(1, 1, 1) - mono(1, 0, 1), ((1, 1),))
-    coef = (mono(1) - mono(1, -1, 0)) * (mono(1) - mono(1, -(n - 2), 0))
-    middle = (
-        BivariateRationalFunction(coef)
-        * BivariateRationalFunction(
-            BivariatePolynomial.monomial(1, 1, 1), ((1, 1),)
-        )
-        * BivariateRationalFunction(
-            BivariatePolynomial.monomial(1, n - 2, 1), ((n - 2, 1),)
-        )
+    return one + first + middle_term_product(n) + last
+
+
+def _middle_coefficient(n: int) -> BivariatePolynomial:
+    """The middle summand's constant (1 - 1/p)(1 - p^-(n-2))."""
+    mono = BivariatePolynomial.monomial
+    return (mono(1) - mono(1, -1, 0)) * (mono(1) - mono(1, -(n - 2), 0))
+
+
+def middle_term_product(n: int) -> BivariateRationalFunction:
+    """The middle summand in product form, for every n >= 2.
+
+    (1-1/p)(1-p^-(n-2)) * (p t / (1 - p t)) * (p^(n-2) t / (1 - p^(n-2) t)).
+    """
+    return BivariateRationalFunction(
+        _middle_coefficient(n) * BivariatePolynomial.monomial(1, n - 1, 2),
+        ((1, 1), (n - 2, 1)),
     )
-    return one + first + middle + last
 
 
 def middle_term_partial_fractions(n: int) -> BivariateRationalFunction:
@@ -434,16 +415,13 @@ def middle_term_partial_fractions(n: int) -> BivariateRationalFunction:
     (1-1/p)(1-p^-(n-2)) / (1-p^(3-n)) * (pt/(1-p^(n-2)t) - pt/(1-pt));
     the leading coefficient degenerates to 0/0 at n = 3 (where the two
     bracket terms also coincide), so this shape only exists for n != 3.
-    It must agree with the product form used by ``geometric_assembly``
-    everywhere it is defined.
+    It must agree with ``middle_term_product`` everywhere it is defined.
     """
     if n == 3:
         raise ValueError("the partial-fraction shape has a removable pole at n = 3")
     if n < 2:
         raise ValueError("the group family starts at n = 2")
-    mono = BivariatePolynomial.monomial
-    coef_num = (mono(1) - mono(1, -1, 0)) * (mono(1) - mono(1, -(n - 2), 0))
-    coef = BivariateRationalFunction(coef_num, ((3 - n, 0),))
+    coef = BivariateRationalFunction(_middle_coefficient(n), ((3 - n, 0),))
     pt = BivariatePolynomial.monomial(1, 1, 1)
     bracket = BivariateRationalFunction(pt, ((n - 2, 1),)) - BivariateRationalFunction(
         pt, ((1, 1),)
@@ -507,17 +485,15 @@ def _factor_numerator(
         for b in range(0, max_t + 1)
         if (a, b) != (0, 0)
     ]
-    progress = True
-    while progress:
-        progress = False
+    while True:
         for a, b in candidates:
             q = divide_exact(poly, a, b)
-            if q is not None and q.terms != poly.terms:
+            if q is not None:
                 found.append((a, b))
                 poly = q
-                progress = True
                 break
-    return found, poly
+        else:
+            return found, poly
 
 
 def render_text(f: BivariateRationalFunction) -> str:

@@ -226,6 +226,24 @@ def test_verify_oracle_suite_with_grid(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "oracle", "--n", "5", "--p", "3", "--N", "1"
+    )
+    assert code == 2
+    assert "exceptional prime p=3 < n=5" in err
+    assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("suite", ["standardform", "stability"])
+def test_verify_table_suites_run_at_an_exceptional_prime(capsys, suite):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "5", "--p", "3", "--N", "1"
+    )
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
 def test_table_format(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "3", "--p", "5", "--max-N", "2")
     assert code == 0

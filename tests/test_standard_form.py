@@ -89,6 +89,11 @@ def test_columns_and_entries():
     assert rep.entry(2, 7) == rep.entry(2, 2)
     with pytest.raises(ValueError):
         rep.entry(4, 1)
+    for first_row in (1, 2, 3):
+        assert rep.columns(first_row) == [
+            rep.column(j, first_row) for j in range(1, rep.dim + 1)
+        ]
+    assert rep.columns() == rep.columns(1)
 
 
 def test_guard():

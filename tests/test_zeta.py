@@ -71,6 +71,20 @@ def test_division_detects_non_multiples():
     assert divide_exact(one_minus_t, 0, 1) == mono(1)
 
 
+def test_division_by_t_free_factors():
+    assert divide_exact(mono(1), 1, 0) is None  # 1 / (1 - p)
+    assert divide_exact(mono(1) + mono(1, 1, 0), 2, 0) is None  # (1 + p) / (1 - p^2)
+    assert divide_exact(mono(1) - mono(1, 2, 0), 1, 0) == mono(1) + mono(1, 1, 0)
+    assert divide_exact(mono(1, 0, 1) - mono(1, 2, 1), 2, 0) == mono(1, 0, 1)
+
+
+@pytest.mark.parametrize("factor", [(0, 0), (-1, 0)])
+def test_division_refuses_bad_t_free_factors(factor):
+    with pytest.raises(ValueError):
+        divide_exact(mono(1), *factor)
+    assert divide_exact(BivariatePolynomial.zero(), *factor) == BivariatePolynomial.zero()
+
+
 # -- rational layer ----------------------------------------------------------
 
 
@@ -88,6 +102,12 @@ def test_rational_reduces_on_construction():
     f = BivariateRationalFunction(num, ((1, 1), (2, 1)))
     assert f.den_factors == ((2, 1),)
     assert f.num == mono(1) - mono(1, 0, 1)
+
+
+def test_rational_zero_numerator_cancels_every_factor():
+    f = BivariateRationalFunction(BivariatePolynomial.zero(), ((1, 1), (2, 0)))
+    assert f.den_factors == ()
+    assert not f.num
 
 
 def test_rational_equality_cross_multiplies():
