@@ -424,22 +424,21 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             checked += 1
             rep = build_rep(spec, validate=False)
             c = oracle.realize(rep)
-            relations_ok &= oracle.check_relations(c)
+            relations = oracle.check_relations(c)
+            relations_ok &= relations
             commutant = oracle.commutant_dimension(c)
             structural = is_irreducible_structural(rep)
             equiv_ok &= (commutant == 1) == structural == is_irreducible_depth(spec)
             if commutant == 1:
                 census_ok &= oracle.mutual_eigenspace_census(c) == (p**N, 1)
             minimal = minimal_stable_index(rep)
-            for j in range(N + 1):
-                stable_ok &= oracle.subspace_is_stable(c, j) == (j >= minimal)
+            stable = [oracle.subspace_is_stable(c, j) for j in range(N + 1)]
+            stable_ok &= stable == [j >= minimal for j in range(N + 1)]
             for tol in (1e-11, 1e-7):
                 loose = oracle.ComplexRep(c.p, c.N, c.xs, c.y, tol=tol)
-                tol_ok &= oracle.check_relations(loose) == oracle.check_relations(c)
-                for j in range(N + 1):
-                    tol_ok &= oracle.subspace_is_stable(
-                        loose, j
-                    ) == oracle.subspace_is_stable(c, j)
+                tol_ok &= oracle.check_relations(loose) == relations
+                tol_ok &= [oracle.subspace_is_stable(loose, j)
+                           for j in range(N + 1)] == stable
     return [
         _result("matrix relations hold numerically", relations_ok, f"{checked} specs"),
         _result("commutant dimension 1 = structural = depth criterion", equiv_ok),

@@ -16,6 +16,14 @@ Floating point is confined to this module on purpose: it must not share
 code paths with the exact machinery it is checking, so subspace bases
 are built from their definition and commutants from linear algebra, not
 from column-tuple bookkeeping.
+
+Each piece of floating-point work is done once: the orthonormal basis
+of each candidate subspace is cached per (p, N, j).  The commutant
+needs no SVD: restricted to the cycle commutant, the stacked commutator
+operator has pairwise orthogonal columns, so its singular values are
+its column norms.  The SVD of that operator, built on
+`_cycle_commutant_basis`, lives only in the test suite, as a
+differential check of that fact.
 """
 
 from __future__ import annotations
@@ -108,12 +116,14 @@ def check_relations(c: ComplexRep) -> bool:
 
 @lru_cache(maxsize=None)
 def _cycle_commutant_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of {A : Ay = yA} as a dim^2 x dim matrix.
+    """Orthonormal basis of {A : Ay = yA} as a read-only dim^2 x dim matrix.
 
     The commutant of a single dim-cycle is spanned by its powers (the
     minimal polynomial t^dim - 1 is squarefree, so the commutant has
     dimension dim); the powers have disjoint supports, hence are
-    orthogonal, and dividing by sqrt(dim) normalizes them.
+    orthogonal, and dividing by sqrt(dim) normalizes them.  The oracle
+    itself needs only the orthogonality; the tests build the stacked
+    operator on this basis and take its SVD.
     """
     y = _cycle_matrix(dim)
     cols = []
@@ -121,7 +131,27 @@ def _cycle_commutant_basis(dim: int) -> np.ndarray:
     for _ in range(dim):
         cols.append(power.reshape(-1) / np.sqrt(dim))
         power = y @ power
-    return np.stack(cols, axis=1)
+    basis = np.stack(cols, axis=1)
+    basis.setflags(write=False)
+    return basis
+
+
+def _commutant_singular_values(c: ComplexRep) -> np.ndarray:
+    """Singular values of the stacked operator, indexed by cycle power k.
+
+    The y-operator's kernel is the cycle commutant, spanned by the
+    powers y^k / sqrt(dim) (see `_cycle_commutant_basis`).  On y^k the
+    map A -> x_i A - A x_i scales entry (c + k, c) by x_i[c + k] - x_i[c],
+    so column k of the stacked operator lives on the k-th cyclic
+    diagonal.  Distinct diagonals are disjoint, the columns are pairwise
+    orthogonal, and the singular values are the column norms:
+
+        sigma_k^2 = sum_i sum_c |x_i[c + k] - x_i[c]|^2 / dim.
+    """
+    eig = np.stack([np.diag(x) for x in c.xs])  # n x dim
+    shifted = (np.arange(c.dim)[:, None] + np.arange(c.dim)) % c.dim  # [k, c] -> c + k
+    gaps = eig[:, shifted] - eig[:, None, :]  # n x dim (k) x dim (c)
+    return np.sqrt(np.sum(gaps.real**2 + gaps.imag**2, axis=(0, 2)) / c.dim)
 
 
 def commutant_dimension(
@@ -133,26 +163,17 @@ def commutant_dimension(
 
     This is the joint nullity of the stacked operators A -> gA - Ag over
     the generators, read off singular values (sigma below threshold *
-    sigma_max counts as zero).  The y-operator's kernel is the cycle
-    commutant with a known orthonormal basis, so the x-operators are
-    restricted to that basis first and one small SVD finishes the job;
-    the restricted operators are formed entrywise from the eigenvalue
-    gaps (x_i A - A x_i scales entry (j,k) by x_i[j] - x_i[k]).
+    sigma_max counts as zero).  Restricted to the y-operator's kernel,
+    the stacked operator has pairwise orthogonal columns, so its
+    singular values are the column norms (`_commutant_singular_values`)
+    and no SVD is taken; the tests check the two against each other.
 
     A value of 1 certifies irreducibility.
     """
     if c.dim > guard:
         raise GuardExceededError(f"dim {c.dim} exceeds the oracle guard {guard}")
-    basis = _cycle_commutant_basis(c.dim)  # dim^2 x dim
-    basis_mats = basis.reshape(c.dim, c.dim, c.dim)
-    blocks = []
-    for x in c.xs:
-        diag = np.diag(x)
-        gaps = diag[:, None] - diag[None, :]
-        blocks.append((gaps[:, :, None] * basis_mats).reshape(c.dim * c.dim, c.dim))
-    stacked = np.vstack(blocks)
-    sigmas = np.linalg.svd(stacked, compute_uv=False)
-    top = sigmas[0] if len(sigmas) else 0.0
+    sigmas = _commutant_singular_values(c)
+    top = sigmas.max()
     if top == 0.0:
         return c.dim
     return int(np.sum(sigmas < threshold * top))
@@ -165,21 +186,25 @@ def mutual_eigenspace_census(
 
     Basis vectors are grouped by their joint eigenvalue signature across
     x_1..x_n, two signatures counting as equal when every component is
-    within c.tol.  Requires an irreducible input (checked through the
-    commutant); the expected answer is then (p^N, 1).
+    within c.tol.  Each vector joins the first class whose first member
+    is that close to it, or starts a new class.  Requires an irreducible
+    input (checked through the commutant); the expected answer is then
+    (p^N, 1).
     """
     if commutant_dimension(c, threshold=threshold) != 1:
         raise ValueError("mutual eigenspace census expects an irreducible input")
     sigs = np.stack([np.diag(x) for x in c.xs], axis=1)  # dim x n
-    classes: list[list[int]] = []
+    close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=2) <= c.tol
+    firsts: list[int] = []
+    sizes: list[int] = []
     for j in range(c.dim):
-        for cls in classes:
-            if np.max(np.abs(sigs[cls[0]] - sigs[j])) <= c.tol:
-                cls.append(j)
-                break
+        hits = np.flatnonzero(close[firsts, j])
+        if hits.size:
+            sizes[hits[0]] += 1
         else:
-            classes.append([j])
-    return len(classes), max(len(cls) for cls in classes)
+            firsts.append(j)
+            sizes.append(1)
+    return len(firsts), max(sizes)
 
 
 def subspace_basis(p: int, N: int, j: int) -> np.ndarray:
@@ -197,6 +222,17 @@ def subspace_basis(p: int, N: int, j: int) -> np.ndarray:
     return np.stack(cols, axis=1) / np.sqrt(dim // step)
 
 
+@lru_cache(maxsize=None)
+def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
+    """The j-th candidate subspace's spanning vectors, QR-orthonormalized.
+
+    Read-only, because every caller shares the cached array.
+    """
+    basis, _ = np.linalg.qr(subspace_basis(p, N, j).astype(complex))
+    basis.setflags(write=False)
+    return basis
+
+
 def subspace_is_stable(c: ComplexRep, j: int) -> bool:
     """Whether every generator maps the j-th candidate subspace into itself.
 
@@ -205,10 +241,11 @@ def subspace_is_stable(c: ComplexRep, j: int) -> bool:
     """
     if not 0 <= j <= c.N:
         raise ValueError(f"subspace index {j} out of range [0, {c.N}]")
-    basis, _ = np.linalg.qr(subspace_basis(c.p, c.N, j).astype(complex))
+    basis = _stable_basis(c.p, c.N, j)
+    basis_h = basis.conj().T
     for g in (*c.xs, c.y):
         image = g @ basis
-        residual = image - basis @ (basis.conj().T @ image)
+        residual = image - basis @ (basis_h @ image)
         if np.max(np.abs(residual)) > c.tol:
             return False
     return True

@@ -136,15 +136,16 @@ def divide_exact(
 
     The division runs down the t-degree (the divisor's leading
     t-coefficient -p^a is a unit in the Laurent ring).  A t-free factor
-    (1 - p^a) is the same division with p and t swapped.
+    (1 - p^a) is the same division with p and t swapped.  The factor
+    must be normalized (b >= 0, and a >= 0 when b = 0).
     """
     if not num:
         return BivariatePolynomial.zero()
-    if b <= 0:
+    if b < 0 or (b == 0 and a < 0):
+        raise ValueError("factors must be normalized before division")
+    if b == 0:
         if a == 0:
             raise ValueError("cannot divide by the zero factor (1 - 1)")
-        if a < 0:
-            raise ValueError("factors must be normalized before division")
         q = divide_exact(_swapped(num), 0, a)
         return None if q is None else _swapped(q)
     terms = dict(num.terms)

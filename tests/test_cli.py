@@ -226,6 +226,28 @@ def test_verify_oracle_suite_with_grid(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("verdict", ["check_relations", "subspace_is_stable"])
+def test_verify_oracle_compares_verdicts_across_tolerances(capsys, monkeypatch, verdict):
+    # The suite computes each verdict at the default tolerance once; a
+    # verdict that flips only at the loosest tolerance must still fail
+    # the tolerance property, and only that one.
+    import maxclass.oracle as oracle
+
+    original = getattr(oracle, verdict)
+
+    def flipped_at_1e_7(c, *args):
+        result = original(c, *args)
+        return not result if c.tol == 1e-7 else result
+
+    monkeypatch.setattr(oracle, verdict, flipped_at_1e_7)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
+    )
+    assert code == 1
+    assert "[FAIL] verdicts stable across tolerances 1e-11..1e-7" in out
+    assert out.count("[FAIL]") == 1
+
+
 def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "5", "--p", "3", "--N", "1"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from test_acceptance import EQUIVALENCE_GRID
 
+from maxclass import oracle
 from maxclass.checks import iter_specs
 from maxclass.errors import GuardExceededError
 from maxclass.oracle import (
+    SV_THRESHOLD,
     ComplexRep,
     check_relations,
     commutant_dimension,
@@ -91,6 +94,48 @@ def test_commutant_matches_exact_tests():
             irreducible = commutant_dimension(c) == 1
             assert irreducible == is_irreducible_structural(rep)
             assert irreducible == is_irreducible_depth(spec)
+
+
+def _stacked_operator(c):
+    """The x-operators A -> x_i A - A x_i on the cycle commutant, stacked."""
+    basis_mats = oracle._cycle_commutant_basis(c.dim).reshape(c.dim, c.dim, c.dim)
+    blocks = []
+    for x in c.xs:
+        diag = np.diag(x)
+        gaps = diag[:, None] - diag[None, :]
+        blocks.append((gaps[:, :, None] * basis_mats).reshape(c.dim * c.dim, c.dim))
+    return np.vstack(blocks)
+
+
+def test_commutant_column_norms_match_the_svd():
+    # The oracle reads the singular values off the column norms; this is
+    # the one place the SVD is still taken, over the whole equivalence grid.
+    total = 0
+    for n, p, N in EQUIVALENCE_GRID:
+        for spec in iter_specs(n, p, N):
+            total += 1
+            c = realize(build_rep(spec, validate=False))
+            stacked = _stacked_operator(c)
+            sigmas = np.linalg.svd(stacked, compute_uv=False)
+            top = sigmas[0]
+            svd_verdict = (
+                c.dim if top == 0.0 else int(np.sum(sigmas < SV_THRESHOLD * top))
+            )
+            assert commutant_dimension(c) == svd_verdict, (spec.exponents, p, N)
+            norms = oracle._commutant_singular_values(c)
+            assert np.max(np.abs(norms - np.linalg.norm(stacked, axis=0))) <= 1e-12 * top
+            assert np.max(np.abs(np.sort(norms)[::-1] - sigmas)) <= 1e-12 * top
+    assert total == 1695
+
+
+def test_cached_arrays_are_read_only():
+    for cached in (oracle._cycle_commutant_basis(4), oracle._stable_basis(2, 2, 1)):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
+    basis = oracle._stable_basis(2, 2, 1)
+    spanning = oracle.subspace_basis(2, 2, 1)
+    assert np.allclose(basis.conj().T @ basis, np.eye(2))
+    assert np.allclose(basis @ (basis.conj().T @ spanning), spanning)
 
 
 def test_eigenspace_census():

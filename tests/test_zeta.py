@@ -85,6 +85,15 @@ def test_division_refuses_bad_t_free_factors(factor):
     assert divide_exact(BivariatePolynomial.zero(), *factor) == BivariatePolynomial.zero()
 
 
+@pytest.mark.parametrize("factor", [(1, -1), (0, -1), (-1, -2)])
+def test_division_refuses_negative_t_exponents(factor):
+    # (1 - p t^-1) does not divide (1 - p); an unnormalized factor is
+    # refused instead of being read as (1 - p^a).
+    with pytest.raises(ValueError, match="factors must be normalized before division"):
+        divide_exact(mono(1) - mono(1, 1, 0), *factor)
+    assert divide_exact(BivariatePolynomial.zero(), *factor) == BivariatePolynomial.zero()
+
+
 # -- rational layer ----------------------------------------------------------
 
 
