@@ -19,14 +19,13 @@ from .counting import (
 )
 from .errors import (
     BudgetExceededError,
-    ContextMismatchError,
     ExceptionalPrimeError,
     GuardExceededError,
     InternalCheckError,
     MaxclassError,
 )
 from .orbits import ShiftOrbit, canonical_tail, shift_orbit, shift_spec
-from .rootlog import ExponentResidue, PrimePower, depth_of, is_prime
+from .rootlog import PrimePower, depth_of, is_prime
 from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
 from .stability import (
     is_irreducible_depth,
@@ -59,11 +58,9 @@ __all__ = [
     "BivariatePolynomial",
     "BivariateRationalFunction",
     "BudgetExceededError",
-    "ContextMismatchError",
     "CountReport",
     "EigenSpec",
     "ExceptionalPrimeError",
-    "ExponentResidue",
     "GuardExceededError",
     "InternalCheckError",
     "MaxclassError",

@@ -16,9 +16,7 @@ from fractions import Fraction
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census
 from .orbits import shift_orbit, shift_spec
-from .rootlog import (
-    ExponentResidue, PrimePower, depth_of, depth_product_bound, validate_grid_point
-)
+from .rootlog import PrimePower, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
 from .stability import (
     is_irreducible_depth,
@@ -89,10 +87,6 @@ def iter_specs(n: int, p: int, N: int):
         yield spec_from_tail(n, pp, tail)
 
 
-def _result(name: str, passed: bool, detail: str = "") -> PropertyResult:
-    return PropertyResult(name, passed, detail)
-
-
 # -- simplex -----------------------------------------------------------------
 
 
@@ -105,14 +99,14 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         ok = True
     except Exception:  # pragma: no cover - only on breakage
         ok = False
-    out.append(_result("recursion and binomial closed form agree (k<=8, j<=64)", ok))
+    out.append(PropertyResult("recursion and binomial closed form agree (k<=8, j<=64)", ok))
 
     ok = all(
         table.value(k, j + 1) == sum(table.value(l, j) for l in range(k + 1))
         for k in range(9)
         for j in range(64)
     )
-    out.append(_result("stacked-sum identity T_k(j+1) = sum_l T_l(j)", ok))
+    out.append(PropertyResult("stacked-sum identity T_k(j+1) = sum_l T_l(j)", ok))
 
     ok = all(
         simplex(k, i + j) == sum(simplex(l, i) * simplex(k - l, j) for l in range(k + 1))
@@ -120,7 +114,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for i in range(21)
         for j in range(21)
     )
-    out.append(_result("convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)", ok))
+    out.append(PropertyResult("convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)", ok))
 
     ok = all(
         math.factorial(k) * (simplex(k, i) - simplex(k, j)) % (i - j) == 0
@@ -129,7 +123,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for j in range(41)
         if i != j
     )
-    out.append(_result("difference divisibility (i-j) | k!(T_k(i)-T_k(j))", ok))
+    out.append(PropertyResult("difference divisibility (i-j) | k!(T_k(i)-T_k(j))", ok))
 
     ok = all(
         simplex_mod(k, alpha * p**b + j, p, b) == simplex_mod(k, j, p, b)
@@ -139,7 +133,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for alpha in range(1, p)
         for j in range(0, 30)
     )
-    out.append(_result("shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)", ok))
+    out.append(PropertyResult("shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)", ok))
 
     ok = all(
         simplex(k, p**N - 1) % p**N == 0
@@ -148,7 +142,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for N in (1, 2, 3)
     )
     out.append(
-        _result("vanishing T_k(p^N - 1) = 0 mod p^N (2 <= k < p)", ok)
+        PropertyResult("vanishing T_k(p^N - 1) = 0 mod p^N (2 <= k < p)", ok)
     )
 
     ok = all(
@@ -159,7 +153,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for k in range(1, p)
         for alpha in (1, 2, p + 1)
     )
-    out.append(_result("scaled-simplex periodicity congruence", ok))
+    out.append(PropertyResult("scaled-simplex periodicity congruence", ok))
 
     ok = all(
         simplex_mod(k, j, p, N) == simplex(k, j) % p**N
@@ -168,7 +162,7 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         for k in range(0, 7)
         for j in (0, 1, 17, 10**6 + 3)
     )
-    out.append(_result("modular fast path matches exact reduction", ok))
+    out.append(PropertyResult("modular fast path matches exact reduction", ok))
     return out
 
 
@@ -176,33 +170,33 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
 
 
 def suite_rootlog(grid=None) -> list[PropertyResult]:
-    contexts = ROOTLOG_CONTEXTS
     out = []
 
     ok = True
-    for p, N in contexts:
-        pp = PrimePower(p, N)
-        q = pp.dim
+    for p, N in ROOTLOG_CONTEXTS:
+        q = p**N
         for e in range(q):
             d = depth_of(e, p, N)
             # depth <= k exactly when e * p^k vanishes mod p^N
             memberships = [e * p**k % q == 0 for k in range(N + 1)]
             if [k >= d for k in range(N + 1)] != memberships:
                 ok = False
-    out.append(_result("depth matches root-of-unity order membership", ok))
+    out.append(PropertyResult("depth matches root-of-unity order membership", ok))
 
+    # The p^k-th roots of unity form a group, so a product is never
+    # deeper than its deeper factor.
     ok = True
-    for p, N in contexts:
-        pp = PrimePower(p, N)
-        q = pp.dim
+    for p, N in ROOTLOG_CONTEXTS:
+        q = p**N
         if q > 125:
             continue
-        for a in range(q):
-            ra = ExponentResidue(a, pp)
-            for b in range(q):
-                if not depth_product_bound(ra, ExponentResidue(b, pp)):
-                    ok = False
-    out.append(_result("product depth bounded by max of factor depths", ok))
+        depths = [depth_of(e, p, N) for e in range(q)]
+        ok &= all(
+            depths[(a + b) % q] <= max(depths[a], depths[b])
+            for a in range(q)
+            for b in range(q)
+        )
+    out.append(PropertyResult("product depth bounded by max of factor depths", ok))
     return out
 
 
@@ -250,12 +244,12 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
                         row = rep.rows[i - 2]
                         distinct_ok &= len(set(row)) == q
     return [
-        _result("closed form = recursion on every entry", closed_ok, f"{checked} specs"),
-        _result("last row constant (central generator is scalar)", const_ok),
-        _result("column 1 reproduces the defining exponents", col1_ok),
-        _result("cycle wraparound consistent for p >= n", wrap_ok),
-        _result("row n-1 is the geometric progression of e_n", geom_ok),
-        _result("deepest-entry rows have all-distinct predecessors", distinct_ok),
+        PropertyResult("closed form = recursion on every entry", closed_ok, f"{checked} specs"),
+        PropertyResult("last row constant (central generator is scalar)", const_ok),
+        PropertyResult("column 1 reproduces the defining exponents", col1_ok),
+        PropertyResult("cycle wraparound consistent for p >= n", wrap_ok),
+        PropertyResult("row n-1 is the geometric progression of e_n", geom_ok),
+        PropertyResult("deepest-entry rows have all-distinct predecessors", distinct_ok),
     ]
 
 
@@ -293,14 +287,14 @@ def suite_stability(grid=None) -> list[PropertyResult]:
                     )
                     period_ok &= minimal_stable_index(rep) <= max_depth
     return [
-        _result(
+        PropertyResult(
             "depth criterion = structural criterion (p >= n)",
             equiv_ok,
             f"{checked} specs",
         ),
-        _result("column equality propagates one step right", prop_ok),
-        _result("restriction can only lower the minimal stable index", mono_ok),
-        _result("all-shallow specs repeat with period p^(max depth)", period_ok),
+        PropertyResult("column equality propagates one step right", prop_ok),
+        PropertyResult("restriction can only lower the minimal stable index", mono_ok),
+        PropertyResult("all-shallow specs repeat with period p^(max depth)", period_ok),
     ]
 
 
@@ -343,10 +337,11 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
                     )
                     case_ok &= _depth_case(other) == base_case
     return [
-        _result("orbit size = p^(restricted minimal stable index)", law_ok, f"{checked} specs"),
-        _result("shifts compose additively mod p^N", compose_ok),
-        _result("irreducibility is constant on orbits", irr_ok),
-        _result("depth case profile is constant on orbits (p >= n)", case_ok),
+        PropertyResult("orbit size = p^(restricted minimal stable index)", law_ok,
+                       f"{checked} specs"),
+        PropertyResult("shifts compose additively mod p^N", compose_ok),
+        PropertyResult("irreducibility is constant on orbits", irr_ok),
+        PropertyResult("depth case profile is constant on orbits (p >= n)", case_ok),
     ]
 
 
@@ -367,12 +362,12 @@ def suite_counting(grid=None) -> list[PropertyResult]:
         ):
             details.append(f"({n},{p},{N})")
     return [
-        _result(
+        PropertyResult(
             "enumerated = closed form = series on the whole grid",
             not details,
             f"{len(grid)} grid points" + (f"; failed: {details}" if details else ""),
         ),
-        _result("orbit census matches the case-split prediction", census_ok),
+        PropertyResult("orbit census matches the case-split prediction", census_ok),
     ]
 
 
@@ -385,25 +380,26 @@ def suite_zeta(grid=None) -> list[PropertyResult]:
     factors_ok = all(
         zeta.functional_equation_factor(n) == n - 1 for n in range(2, 11)
     )
-    out.append(_result("functional equation with factor p^(n-1), n = 2..10", ok and factors_ok))
+    out.append(PropertyResult("functional equation with factor p^(n-1), n = 2..10",
+                              ok and factors_ok))
     ok = all(zeta.abscissa(n) == Fraction(n - 2) for n in range(3, 11)) and zeta.abscissa(
         2
     ) == Fraction(1)
-    out.append(_result("abscissa n-2 for n >= 3 and 1 for n = 2", ok))
+    out.append(PropertyResult("abscissa n-2 for n >= 3 and 1 for n = 2", ok))
     ok = all(zeta.geometric_assembly(n) == zeta.zeta_closed_form(n) for n in range(2, 9))
-    out.append(_result("geometric-series assembly reduces to the closed form", ok))
+    out.append(PropertyResult("geometric-series assembly reduces to the closed form", ok))
     ok = all(
         zeta.middle_term_partial_fractions(n) == zeta.middle_term_product(n)
         for n in range(2, 9)
         if n != 3
     )
-    out.append(_result("partial-fraction middle term matches its product form", ok))
+    out.append(PropertyResult("partial-fraction middle term matches its product form", ok))
     ok = (
         zeta.series_coefficients(zeta.zeta_closed_form(3), 5, 2) == [1, 8, 56]
         and zeta.series_coefficients(zeta.zeta_closed_form(2), 3, 3) == [1, 2, 6, 18]
         and zeta.series_coefficients(zeta.zeta_closed_form(4), 5, 1) == [1, 28]
     )
-    out.append(_result("series expansions hit the reference values", ok))
+    out.append(PropertyResult("series expansions hit the reference values", ok))
     return out
 
 
@@ -440,11 +436,11 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
                 tol_ok &= [oracle.subspace_is_stable(loose, j)
                            for j in range(N + 1)] == stable
     return [
-        _result("matrix relations hold numerically", relations_ok, f"{checked} specs"),
-        _result("commutant dimension 1 = structural = depth criterion", equiv_ok),
-        _result("joint eigenspace census is (p^N, 1) on irreducibles", census_ok),
-        _result("numerical subspace stability matches the minimal index", stable_ok),
-        _result("verdicts stable across tolerances 1e-11..1e-7", tol_ok),
+        PropertyResult("matrix relations hold numerically", relations_ok, f"{checked} specs"),
+        PropertyResult("commutant dimension 1 = structural = depth criterion", equiv_ok),
+        PropertyResult("joint eigenspace census is (p^N, 1) on irreducibles", census_ok),
+        PropertyResult("numerical subspace stability matches the minimal index", stable_ok),
+        PropertyResult("verdicts stable across tolerances 1e-11..1e-7", tol_ok),
     ]
 
 
@@ -463,7 +459,10 @@ SUITES = {
 
 def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     """Run one suite (or "all"), optionally pinned to a single grid point."""
-    grid = [(n, p, N)] if n is not None else None
+    pins = sum(v is not None for v in (n, p, N))
+    if pins not in (0, 3):
+        raise ValueError("pin a suite with all of --n, --p and --N, or none")
+    grid = [(n, p, N)] if pins else None
     if name == "all":
         results = []
         for key in ("simplex", "rootlog", "standardform", "stability", "orbits",

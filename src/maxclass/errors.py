@@ -23,10 +23,6 @@ class GuardExceededError(MaxclassError):
     """Raised when a table or matrix would exceed its size guard."""
 
 
-class ContextMismatchError(MaxclassError):
-    """Raised when residues from different prime-power contexts are mixed."""
-
-
 class InternalCheckError(MaxclassError):
     """A structural identity the implementation relies on failed.
 

@@ -212,7 +212,8 @@ def subspace_basis(p: int, N: int, j: int) -> np.ndarray:
 
     The seed vector is the sum of basis vectors 1, p^j + 1, 2 p^j + 1,
     ...; the cycle orbit of the seed closes after p^j steps, giving a
-    p^j-dimensional space.
+    p^j-dimensional space.  The shifts have disjoint supports of size
+    p^(N-j), so dividing by sqrt(p^(N-j)) makes the columns orthonormal.
     """
     dim = p**N
     step = p**j
@@ -224,11 +225,8 @@ def subspace_basis(p: int, N: int, j: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
-    """The j-th candidate subspace's spanning vectors, QR-orthonormalized.
-
-    Read-only, because every caller shares the cached array.
-    """
-    basis, _ = np.linalg.qr(subspace_basis(p, N, j).astype(complex))
+    """`subspace_basis` (already orthonormal) as a shared read-only array."""
+    basis = subspace_basis(p, N, j).astype(complex)
     basis.setflags(write=False)
     return basis
 
@@ -236,7 +234,7 @@ def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
 def subspace_is_stable(c: ComplexRep, j: int) -> bool:
     """Whether every generator maps the j-th candidate subspace into itself.
 
-    The basis is orthonormalized and invariance of each generator image
+    The basis is orthonormal, and invariance of each generator image
     is tested against c.tol on the orthogonal complement's share.
     """
     if not 0 <= j <= c.N:

@@ -257,6 +257,28 @@ def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "counting", "--n", "3"],
+        ["--suite", "all", "--n", "3", "--p", "5"],
+        ["--suite", "stability", "--N", "1"],
+    ],
+)
+def test_verify_refuses_a_partial_pin(capsys, monkeypatch, argv):
+    import maxclass.checks as checks
+
+    def no_suite(grid=None):
+        raise AssertionError("a suite ran on a partial pin")
+
+    for key in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, key, no_suite)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "pin a suite with all of --n, --p and --N, or none" in err
+
+
 @pytest.mark.parametrize("suite", ["standardform", "stability"])
 def test_verify_table_suites_run_at_an_exceptional_prime(capsys, suite):
     code, out, _ = run_cli(

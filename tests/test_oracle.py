@@ -15,7 +15,7 @@ from maxclass.oracle import (
     relation_residuals,
     subspace_is_stable,
 )
-from maxclass.rootlog import PrimePower
+from maxclass.rootlog import PrimePower, is_prime
 from maxclass.stability import (
     is_irreducible_depth,
     is_irreducible_structural,
@@ -132,10 +132,20 @@ def test_cached_arrays_are_read_only():
     for cached in (oracle._cycle_commutant_basis(4), oracle._stable_basis(2, 2, 1)):
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
-    basis = oracle._stable_basis(2, 2, 1)
-    spanning = oracle.subspace_basis(2, 2, 1)
-    assert np.allclose(basis.conj().T @ basis, np.eye(2))
-    assert np.allclose(basis @ (basis.conj().T @ spanning), spanning)
+    contexts = [
+        (p, N)
+        for p in range(2, oracle.DEFAULT_ORACLE_GUARD + 1)
+        if is_prime(p)
+        for N in range(7)
+        if p**N <= oracle.DEFAULT_ORACLE_GUARD
+    ]
+    assert len(contexts) == 45
+    for p, N in contexts:
+        for j in range(N + 1):
+            basis = oracle._stable_basis(p, N, j)
+            assert basis.shape == (p**N, p**j)
+            gram = basis.conj().T @ basis
+            assert np.max(np.abs(gram - np.eye(p**j))) <= 1e-12
 
 
 def test_eigenspace_census():

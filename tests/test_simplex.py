@@ -65,7 +65,9 @@ def test_modular_examples():
 @given(
     st.integers(0, 9),
     st.integers(0, 10**7),
-    st.sampled_from([2, 3, 5, 7, 11]),
+    # 4, 6 and 9 are composite: for some k < p, k! is then not a unit
+    # mod p^N and simplex_mod falls back to the exact value.
+    st.sampled_from([2, 3, 4, 5, 6, 7, 9, 11]),
     st.integers(1, 3),
 )
 @settings(max_examples=150)
