@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle, zeta
-from .counting import closed_form_count, enumerate_isoclasses, expected_census
+from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
+from .errors import BudgetExceededError
 from .orbits import shift_orbit, shift_spec
 from .rootlog import PrimePower, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
@@ -80,11 +81,13 @@ class PropertyResult:
 
 
 def iter_specs(n: int, p: int, N: int):
-    """All normalized specs (0, e_2, ..., e_n) at the given grid point."""
+    """All normalized specs (0, e_2, ..., e_n) at (n, p, N), refused above the budget."""
     pp = PrimePower(p, N)
-    q = pp.dim
-    for tail in itertools.product(range(q), repeat=n - 1):
-        yield spec_from_tail(n, pp, tail)
+    total, budget = pp.dim ** (n - 1), resolve_budget()
+    if total > budget:
+        raise BudgetExceededError(f"{total} specs exceed the enumeration budget {budget}")
+    tails = itertools.product(range(pp.dim), repeat=n - 1)
+    return (spec_from_tail(n, pp, tail) for tail in tails)
 
 
 # -- simplex -----------------------------------------------------------------

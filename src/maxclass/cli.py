@@ -13,13 +13,14 @@ Subcommands:
 All numeric output is exact; large values travel as decimal strings in
 JSON.  Exit codes: 0 success/agreement, 1 disagreement or failed
 properties, 2 bad configuration (non-prime p, exceptional prime,
-exceeded budget, malformed arguments).
+exceeded budget, a count too long to print, malformed arguments).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import checks, zeta
@@ -106,11 +107,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unprintable_count(n: int, p: int, N: int) -> None:
+    """Exit 2 up front when r_{p^N} could have too many digits to print.
+
+    The closed form sums N + 1 terms p^((n-2)N), p^(N + (n-3)l) (1 <= l < N)
+    and p^N, each times a fraction in [0, 1), so r_{p^N} <=
+    (N + 1) p^(max(n-2, 1) N) at every p >= 1; logarithms bound its digits.
+    """
+    digits = math.floor(math.log10(N + 1) + max(n - 2, 1) * N * math.log10(p)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits > limit:
+        raise MaxclassError(f"the count at n={n}, p={p}, N={N} may have {digits} digits, "
+                            f"over Python's int-to-str limit of {limit}")
+
+
 def _census_text(census: dict[int, int]) -> str:
     return ", ".join(f"{count} of size {size}" for size, count in sorted(census.items()))
 
 
 def cmd_count(args) -> int:
+    _refuse_unprintable_count(args.n, args.p, args.N)
     methods = {"enumerated": None, "closed_form": None, "series": None}
     census = None
     if args.method in ("enum", "all"):
@@ -157,6 +173,8 @@ def cmd_zeta(args) -> int:
     if args.series is not None and args.p is None:
         print("error: --series needs --p", file=sys.stderr)
         return USAGE_ERROR
+    if args.series is not None:
+        _refuse_unprintable_count(args.n, args.p, args.series)
     f = zeta.zeta_closed_form(args.n)
     factor = zeta.functional_equation_factor(args.n)
     holds = zeta.functional_equation_check(args.n)
@@ -205,6 +223,7 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     budget = resolve_budget(args.budget)
+    _refuse_unprintable_count(args.n, args.p, args.max_N)
     print("n\tp\tN\tr_enum\tr_closed\tr_series\tagree\terror")
     for N in range(args.max_N + 1):
         cells: dict[str, int | None] = {}

@@ -62,31 +62,24 @@ class ComplexRep:
 
 def _cycle_matrix(dim: int) -> np.ndarray:
     """The dim-cycle: ones on the subdiagonal, corner entry 1."""
-    y = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        y[(j + 1) % dim, j] = 1.0
-    return y
+    return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
 
 
-def realize(
-    rep: StandardFormRep,
-    tol: float = DEFAULT_TOL,
-    guard: int = DEFAULT_ORACLE_GUARD,
-) -> ComplexRep:
-    """Turn an exponent table into complex matrices.
+def realize(rep: StandardFormRep) -> ComplexRep:
+    """Turn an exponent table into complex matrices at tolerance DEFAULT_TOL.
 
     Entry j of x_i is exp(2*pi*i * E[i][j] / p^N); y sends basis vector
     e_j to e_{j+1} cyclically.
     """
     dim = rep.dim
-    if dim > guard:
-        raise GuardExceededError(f"dim {dim} exceeds the oracle guard {guard}")
+    if dim > DEFAULT_ORACLE_GUARD:
+        raise GuardExceededError(f"dim {dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}")
     xs = tuple(
         np.diag(np.exp(2j * np.pi * np.array(row, dtype=float) / dim))
         for row in rep.rows
     )
     pp = rep.spec.pp
-    return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim), tol=tol)
+    return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))
 
 
 def relation_residuals(c: ComplexRep) -> list[tuple[str, float]]:
@@ -154,15 +147,11 @@ def _commutant_singular_values(c: ComplexRep) -> np.ndarray:
     return np.sqrt(np.sum(gaps.real**2 + gaps.imag**2, axis=(0, 2)) / c.dim)
 
 
-def commutant_dimension(
-    c: ComplexRep,
-    threshold: float = SV_THRESHOLD,
-    guard: int = DEFAULT_ORACLE_GUARD,
-) -> int:
+def commutant_dimension(c: ComplexRep) -> int:
     """dim {A : A commutes with every x_i and with y}.
 
     This is the joint nullity of the stacked operators A -> gA - Ag over
-    the generators, read off singular values (sigma below threshold *
+    the generators, read off singular values (sigma below SV_THRESHOLD *
     sigma_max counts as zero).  Restricted to the y-operator's kernel,
     the stacked operator has pairwise orthogonal columns, so its
     singular values are the column norms (`_commutant_singular_values`)
@@ -170,18 +159,18 @@ def commutant_dimension(
 
     A value of 1 certifies irreducibility.
     """
-    if c.dim > guard:
-        raise GuardExceededError(f"dim {c.dim} exceeds the oracle guard {guard}")
+    if c.dim > DEFAULT_ORACLE_GUARD:
+        raise GuardExceededError(
+            f"dim {c.dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}"
+        )
     sigmas = _commutant_singular_values(c)
     top = sigmas.max()
     if top == 0.0:
         return c.dim
-    return int(np.sum(sigmas < threshold * top))
+    return int(np.sum(sigmas < SV_THRESHOLD * top))
 
 
-def mutual_eigenspace_census(
-    c: ComplexRep, threshold: float = SV_THRESHOLD
-) -> tuple[int, int]:
+def mutual_eigenspace_census(c: ComplexRep) -> tuple[int, int]:
     """(number of joint eigenspaces of the x_i, largest dimension).
 
     Basis vectors are grouped by their joint eigenvalue signature across
@@ -191,7 +180,7 @@ def mutual_eigenspace_census(
     input (checked through the commutant); the expected answer is then
     (p^N, 1).
     """
-    if commutant_dimension(c, threshold=threshold) != 1:
+    if commutant_dimension(c) != 1:
         raise ValueError("mutual eigenspace census expects an irreducible input")
     sigs = np.stack([np.diag(x) for x in c.xs], axis=1)  # dim x n
     close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=2) <= c.tol
@@ -207,26 +196,19 @@ def mutual_eigenspace_census(
     return len(firsts), max(sizes)
 
 
-def subspace_basis(p: int, N: int, j: int) -> np.ndarray:
-    """Spanning vectors of the j-th candidate subspace, as columns.
+@lru_cache(maxsize=None)
+def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
+    """Spanning vectors of the j-th candidate subspace, as read-only columns.
 
     The seed vector is the sum of basis vectors 1, p^j + 1, 2 p^j + 1,
     ...; the cycle orbit of the seed closes after p^j steps, giving a
-    p^j-dimensional space.  The shifts have disjoint supports of size
-    p^(N-j), so dividing by sqrt(p^(N-j)) makes the columns orthonormal.
+    p^j-dimensional space.  Shift s of the seed has ones exactly at the
+    rows congruent to s mod p^j, so the columns are p^(N-j) stacked
+    copies of the p^j identity.  The shifts have disjoint supports of
+    size p^(N-j), so dividing by sqrt(p^(N-j)) makes them orthonormal.
     """
-    dim = p**N
-    step = p**j
-    seed = np.zeros(dim)
-    seed[0::step] = 1.0
-    cols = [np.roll(seed, shift) for shift in range(step)]
-    return np.stack(cols, axis=1) / np.sqrt(dim // step)
-
-
-@lru_cache(maxsize=None)
-def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
-    """`subspace_basis` (already orthonormal) as a shared read-only array."""
-    basis = subspace_basis(p, N, j).astype(complex)
+    copies = p ** (N - j)
+    basis = np.tile(np.eye(p**j, dtype=complex), (copies, 1)) / np.sqrt(copies)
     basis.setflags(write=False)
     return basis
 

@@ -48,9 +48,8 @@ def shift_spec(spec: EigenSpec, offset: int) -> EigenSpec:
 
 @dataclass(frozen=True)
 class ShiftOrbit:
-    """All tails reachable from ``base`` by shifting and re-twisting."""
+    """All tails reachable from a spec by shifting and re-twisting."""
 
-    base: EigenSpec
     tails: frozenset[tuple[int, ...]]
 
     @property
@@ -75,7 +74,7 @@ def shift_orbit(spec: EigenSpec) -> ShiftOrbit:
             f"orbit size {len(tails)} != p^m = {spec.pp.p ** m} for "
             f"spec {spec.exponents} (p={spec.pp.p}, N={spec.pp.N})"
         )
-    return ShiftOrbit(spec, tails)
+    return ShiftOrbit(tails)
 
 
 def canonical_tail(spec: EigenSpec) -> tuple[int, ...]:

@@ -72,10 +72,10 @@ class PrimePower:
     def dim(self) -> int:
         return self.p**self.N
 
-    def check_guard(self, guard: int = DEFAULT_TABLE_GUARD) -> None:
-        if self.dim > guard:
+    def check_guard(self) -> None:
+        if self.dim > DEFAULT_TABLE_GUARD:
             raise GuardExceededError(
-                f"p^N = {self.dim} exceeds the table guard {guard}"
+                f"p^N = {self.dim} exceeds the table guard {DEFAULT_TABLE_GUARD}"
             )
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError
-from .rootlog import DEFAULT_TABLE_GUARD, PrimePower, depth_of
+from .rootlog import PrimePower, depth_of
 from .simplex import simplex_row_mod
 
 
@@ -133,11 +133,7 @@ class StandardFormRep:
         }
 
 
-def build_rep(
-    spec: EigenSpec,
-    guard: int = DEFAULT_TABLE_GUARD,
-    validate: bool = True,
-) -> StandardFormRep:
+def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
     """Construct the exponent table determined by ``spec``.
 
     The table is built bottom-up by the forward recursion (row n is
@@ -146,7 +142,7 @@ def build_rep(
     agree exactly.  The cyclic wraparound of the recursion holds iff
     ``cycle_constraint_holds(spec)`` - automatic for p >= n.
     """
-    spec.pp.check_guard(guard)
+    spec.pp.check_guard()
     q = spec.pp.dim
     n = spec.n
     exps = spec.exponents

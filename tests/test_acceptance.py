@@ -128,7 +128,7 @@ def test_criterion_5_irreducibility_equivalence():
             residual_ok = all(r < 1e-9 for _, r in oracle.relation_residuals(c))
             depth_irr = is_irreducible_depth(spec)
             structural_irr = is_irreducible_structural(rep)
-            commutant = oracle.commutant_dimension(c, threshold=1e-8)
+            commutant = oracle.commutant_dimension(c)
             agree = depth_irr == structural_irr == (commutant == 1)
             census_ok = True
             if commutant == 1:

@@ -7,7 +7,12 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from maxclass import cli
 from maxclass.cli import main
+from maxclass.counting import closed_form_count
+from maxclass.errors import MaxclassError
+from maxclass.rootlog import is_prime
+from maxclass.zeta import series_coefficients, zeta_closed_form
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "maxclass" / "schemas"
 
@@ -154,6 +159,70 @@ def test_count_threads_consistent(capsys):
     assert out1 == out2
 
 
+def _assert_digit_bound(monkeypatch, n, p, N, r):
+    # A limit below r's digits must refuse; a limit two digits above must not.
+    digits = len(str(r))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits - 1)
+    if digits > 1:
+        with pytest.raises(MaxclassError):
+            cli._refuse_unprintable_count(n, p, N)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits + 2)
+    cli._refuse_unprintable_count(n, p, N)
+
+
+def test_digit_bound_on_the_closed_form_grid(monkeypatch):
+    for n in range(2, 9):
+        for p in (p for p in range(n, 30) if is_prime(p)):
+            for N in range(40):
+                _assert_digit_bound(monkeypatch, n, p, N, closed_form_count(n, p, N))
+
+
+def test_digit_bound_on_series_below_n(monkeypatch):
+    # zeta --series takes any p, including p < n.
+    for n in range(3, 9):
+        f = zeta_closed_form(n)
+        for p in range(1, n):
+            for N, c in enumerate(series_coefficients(f, p, 39)):
+                _assert_digit_bound(monkeypatch, n, p, N, c)
+
+
+def test_digit_limit_zero_means_no_limit(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    cli._refuse_unprintable_count(3, 5, 10**9)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--method", "closed", "--n", "3", "--p", "5", "--N", "20000"],
+        ["zeta", "--n", "3", "--p", "5", "--series", "20000"],
+        ["count", "--method", "closed", "--n", "2", "--p", "3", "--N", "200000"],
+        ["table", "--n", "3", "--p", "5", "--max-N", "20000"],
+    ],
+)
+def test_counts_too_long_to_print_are_refused_up_front(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a count started")
+
+    for name in ("enumerate_isoclasses", "closed_form_count", "count_from_series"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.zeta, "series_coefficients", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert f"digits, over Python's int-to-str limit of {limit}" in err
+
+
+def test_count_just_under_the_digit_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--method", "closed", "--n", "3", "--p", "5", "--N", "6000"
+    )
+    assert code == 0
+    value = out.splitlines()[1].split(" = ")[1]
+    assert len(value) == 4198
+
+
 def test_zeta_text(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--n", "3")
     assert code == 0
@@ -277,6 +346,26 @@ def test_verify_refuses_a_partial_pin(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "pin a suite with all of --n, --p and --N, or none" in err
+
+
+@pytest.mark.parametrize(
+    "suite, n, p, N",
+    [("stability", 3, 101, 2), ("oracle", 7, 7, 2), ("standardform", 4, 97, 2)],
+)
+def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N):
+    import maxclass.checks as checks
+
+    def no_spec(*args, **kwargs):
+        raise AssertionError("a spec was built")
+
+    monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
+    monkeypatch.setattr(checks, "spec_from_tail", no_spec)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", str(n), "--p", str(p), "--N", str(N)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{p ** ((n - 1) * N)} specs exceed the enumeration budget 100000000" in err
 
 
 @pytest.mark.parametrize("suite", ["standardform", "stability"])

@@ -49,6 +49,13 @@ def test_realize_trivial_and_guard():
         realize(big)
 
 
+def test_commutant_dimension_guard():
+    # A hand-built rep skips realize's guard; the commutant checks its own.
+    eye = np.eye(2**7, dtype=complex)
+    with pytest.raises(GuardExceededError):
+        commutant_dimension(ComplexRep(2, 7, (eye, eye), eye))
+
+
 def test_realize_matches_example_table():
     rep = build_rep(EigenSpec(3, PrimePower(5, 1), (0, 1, 1)))
     c = realize(rep)

@@ -21,7 +21,9 @@ def test_prime_power_validation():
         PrimePower(3, -1)
     with pytest.raises(GuardExceededError):
         PrimePower(2, 30).check_guard()
-    PrimePower(2, 30).check_guard(guard=2**31)
+    with pytest.raises(GuardExceededError):
+        PrimePower(1009, 2).check_guard()  # just above the 10^6 guard
+    PrimePower(997, 2).check_guard()  # just below it
 
 
 def test_depth_examples():

@@ -97,10 +97,11 @@ def test_columns_and_entries():
 
 
 def test_guard():
-    spec = EigenSpec(2, PrimePower(2, 10), (0, 1))
+    # The table guard is 10^6: 1009^2 lies just above it, 997^2 just below.
     with pytest.raises(GuardExceededError):
-        build_rep(spec, guard=1000)
-    build_rep(spec, guard=1024, validate=False)
+        build_rep(EigenSpec(2, PrimePower(1009, 2), (0, 1)))
+    below = build_rep(EigenSpec(2, PrimePower(997, 2), (0, 0)), validate=False)
+    assert below.dim == 997**2
 
 
 def test_cycle_constraint_automatic_for_large_primes():
