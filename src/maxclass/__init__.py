@@ -24,9 +24,9 @@ from .errors import (
     InternalCheckError,
     MaxclassError,
 )
-from .orbits import ShiftOrbit, canonical_tail, shift_orbit, shift_spec
+from .orbits import canonical_tail, shift_orbit, shift_spec
 from .rootlog import PrimePower, depth_of, is_prime
-from .simplex import SimplexTable, scaled_congruence_holds, simplex, simplex_mod
+from .simplex import SimplexTable, scaled_congruence_holds, simplex
 from .stability import (
     is_irreducible_depth,
     is_irreducible_structural,
@@ -45,7 +45,6 @@ from .zeta import (
     BivariateRationalFunction,
     abscissa,
     count_from_series,
-    functional_equation_check,
     functional_equation_factor,
     geometric_assembly,
     series_coefficients,
@@ -65,7 +64,6 @@ __all__ = [
     "InternalCheckError",
     "MaxclassError",
     "PrimePower",
-    "ShiftOrbit",
     "SimplexTable",
     "StandardFormRep",
     "abscissa",
@@ -77,7 +75,6 @@ __all__ = [
     "depth_of",
     "enumerate_isoclasses",
     "expected_census",
-    "functional_equation_check",
     "functional_equation_factor",
     "geometric_assembly",
     "is_irreducible_depth",
@@ -90,7 +87,6 @@ __all__ = [
     "shift_orbit",
     "shift_spec",
     "simplex",
-    "simplex_mod",
     "spec_from_tail",
     "zeta_closed_form",
 ]

@@ -177,7 +177,7 @@ def cmd_zeta(args) -> int:
         _refuse_unprintable_count(args.n, args.p, args.series)
     f = zeta.zeta_closed_form(args.n)
     factor = zeta.functional_equation_factor(args.n)
-    holds = zeta.functional_equation_check(args.n)
+    holds = factor == args.n - 1
     alpha = zeta.abscissa(args.n)
     coeffs = None
     if args.series is not None:

@@ -21,8 +21,6 @@ which is what the canonical (lexicographically least) tail is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExceptionalPrimeError, InternalCheckError
 from .stability import minimal_stable_index
 from .standard_form import EigenSpec, build_rep, spec_from_tail
@@ -46,19 +44,8 @@ def shift_spec(spec: EigenSpec, offset: int) -> EigenSpec:
     return spec_from_tail(spec.n, spec.pp, col)
 
 
-@dataclass(frozen=True)
-class ShiftOrbit:
-    """All tails reachable from a spec by shifting and re-twisting."""
-
-    tails: frozenset[tuple[int, ...]]
-
-    @property
-    def size(self) -> int:
-        return len(self.tails)
-
-
-def shift_orbit(spec: EigenSpec) -> ShiftOrbit:
-    """The full orbit of ``spec``, with the size law enforced.
+def shift_orbit(spec: EigenSpec) -> frozenset[tuple[int, ...]]:
+    """All tails reachable from ``spec`` by shifting and re-twisting.
 
     The number of distinct tails must equal p^m for m the minimal
     stable index of rows 2..n; a mismatch means the implementation (or
@@ -74,7 +61,7 @@ def shift_orbit(spec: EigenSpec) -> ShiftOrbit:
             f"orbit size {len(tails)} != p^m = {spec.pp.p ** m} for "
             f"spec {spec.exponents} (p={spec.pp.p}, N={spec.pp.N})"
         )
-    return ShiftOrbit(tails)
+    return tails
 
 
 def canonical_tail(spec: EigenSpec) -> tuple[int, ...]:
@@ -83,4 +70,4 @@ def canonical_tail(spec: EigenSpec) -> tuple[int, ...]:
     Deterministic and order-free, so counting distinct canonical tails
     counts orbits without ever holding more than one orbit.
     """
-    return min(shift_orbit(spec).tails)
+    return min(shift_orbit(spec))

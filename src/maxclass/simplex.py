@@ -9,10 +9,9 @@ with closed form T_k(j) = C(j+k-1, k) = j(j+1)...(j+k-1) / k!.
 
 Every diagonal entry of a standard-form eigenvalue table is a product of
 the defining eigenvalues raised to T_d(j-1), so these numbers (and their
-behaviour mod p^N) drive the whole package.  The exact values overflow
-machine words almost immediately; the counting layer only ever needs
-residues, so ``simplex_mod`` evaluates T_k(j) mod p^N without building
-the big integer whenever k! is a unit mod p (that is, p > k).
+behaviour mod p^N) drive the whole package.  Residues are taken from
+the exact integers: ``simplex_row_mod`` reduces the exact table, and
+pointwise checks reduce ``simplex(k, j)``.
 """
 
 from __future__ import annotations
@@ -32,36 +31,6 @@ def simplex(k: int, j: int) -> int:
     if j == 0:
         return 0
     return math.comb(j + k - 1, k)
-
-
-def simplex_mod(k: int, j: int, p: int, N: int) -> int:
-    """T_k(j) mod p^N.
-
-    For p > k the factorial denominator is a unit mod p^N, so the value
-    is the k-term rising product reduced mod p^N times the inverse of k!;
-    j never has to be materialized inside a big binomial.  Otherwise we
-    fall back to the exact integer and reduce.
-    """
-    if k < 0 or j < 0:
-        raise ValueError("simplex numbers are defined for k >= 0, j >= 0")
-    if p < 2 or N < 1:
-        raise ValueError("modulus needs p >= 2 and N >= 1")
-    q = p**N
-    if k == 0:
-        return 1 % q
-    if j == 0:
-        return 0
-    if p > k:
-        prod = 1
-        for i in range(k):
-            prod = prod * ((j + i) % q) % q
-        try:
-            inv = pow(math.factorial(k), -1, q)
-        except ValueError:
-            # p was not actually prime; the unit argument fails, use exact.
-            return simplex(k, j) % q
-        return prod * inv % q
-    return simplex(k, j) % q
 
 
 @dataclass(frozen=True)
@@ -136,8 +105,8 @@ def scaled_congruence_holds(k: int, p: int, N: int, m: int, alpha: int) -> bool:
     step = p ** (N - m)
     scale = alpha * p**m
     for j in range(step):
-        base = scale * simplex_mod(k, j, p, N) % q
+        base = scale * simplex(k, j) % q
         for beta in range(1, p**m):
-            if scale * simplex_mod(k, beta * step + j, p, N) % q != base:
+            if scale * simplex(k, beta * step + j) % q != base:
                 return False
     return True

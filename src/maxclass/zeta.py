@@ -354,13 +354,6 @@ def functional_equation_factor(n: int) -> int | None:
     return k if g.num == f.num.shifted(k, 0) else None
 
 
-def functional_equation_check(n: int) -> bool:
-    """Whether inverting both variables multiplies the zeta factor by p^(n-1)."""
-    f = zeta_closed_form(n)
-    g = f.invert_variables()
-    return g == BivariatePolynomial.monomial(1, n - 1, 0) * f
-
-
 def geometric_assembly(n: int) -> BivariateRationalFunction:
     """The zeta factor rebuilt summand by summand from the case split.
 

@@ -350,7 +350,14 @@ def test_verify_refuses_a_partial_pin(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize(
     "suite, n, p, N",
-    [("stability", 3, 101, 2), ("oracle", 7, 7, 2), ("standardform", 4, 97, 2)],
+    [
+        ("stability", 3, 101, 2),
+        ("oracle", 7, 7, 2),
+        ("standardform", 4, 97, 2),
+        ("standardform", 4, 11, 2),
+        ("stability", 3, 97, 2),
+        ("orbits", 2, 3, 9),
+    ],
 )
 def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N):
     import maxclass.checks as checks
@@ -365,7 +372,64 @@ def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N
     )
     assert code == 2
     assert out == ""
-    assert f"{p ** ((n - 1) * N)} specs exceed the enumeration budget 100000000" in err
+    assert (
+        f"{p ** (n * N)} table cells ({p ** ((n - 1) * N)} specs x {p ** N} columns) "
+        "exceed the enumeration budget 100000000" in err
+    )
+
+
+@pytest.mark.parametrize("budget, code", [("81", 0), ("80", 2)])
+def test_verify_budget_counts_table_cells(capsys, monkeypatch, budget, code):
+    # (2,3,2) has 9 specs of 9 columns each: 81 table cells.
+    monkeypatch.setenv("MAXCLASS_BUDGET", budget)
+    got, out, err = run_cli(
+        capsys, "verify", "--suite", "stability", "--n", "2", "--p", "3", "--N", "2"
+    )
+    assert got == code
+    assert ("81 table cells" in err) == (code == 2)
+    assert "[FAIL]" not in out
+
+
+def test_verify_stability_catches_equal_columns_with_different_successors(
+    capsys, monkeypatch
+):
+    import maxclass.checks as checks
+    from maxclass.standard_form import StandardFormRep, build_rep
+    from maxclass.stability import is_irreducible_depth
+
+    def last_column_repeated(spec, validate=True):
+        # On an irreducible spec every column differs from column 1, so
+        # copying column q-1 into column q leaves the minimal stable index
+        # at N; only the successor of the repeated column changes.
+        rep = build_rep(spec, validate)
+        if not is_irreducible_depth(spec):
+            return rep
+        rows = tuple(row[:-1] + row[-2:-1] for row in rep.rows)
+        return StandardFormRep(spec, rows)
+
+    monkeypatch.setattr(checks, "build_rep", last_column_repeated)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "stability", "--n", "2", "--p", "3", "--N", "2"
+    )
+    assert code == 1
+    assert "[FAIL] column equality propagates one step right" in out
+    assert out.count("[FAIL]") == 1
+
+
+def test_verify_orbits_catches_a_verdict_that_varies_along_an_orbit(capsys, monkeypatch):
+    import maxclass.checks as checks
+    from maxclass.stability import is_irreducible_structural
+
+    def flipped_at_e2_zero(rep):
+        return is_irreducible_structural(rep) != (rep.spec.tail[0] == 0)
+
+    monkeypatch.setattr(checks, "is_irreducible_structural", flipped_at_e2_zero)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "orbits", "--n", "3", "--p", "5", "--N", "1"
+    )
+    assert code == 1
+    assert "[FAIL] irreducibility is constant on orbits" in out
+    assert out.count("[FAIL]") == 1
 
 
 @pytest.mark.parametrize("suite", ["standardform", "stability"])

@@ -50,9 +50,9 @@ def brute_force_count(n, p, N):
         if spec.tail in seen or not is_irreducible_depth(spec):
             continue
         orbit = shift_orbit(spec)
-        seen |= orbit.tails
+        seen |= orbit
         count += 1
-        census[orbit.size] = census.get(orbit.size, 0) + 1
+        census[len(orbit)] = census.get(len(orbit), 0) + 1
     return count, dict(sorted(census.items()))
 
 
@@ -174,7 +174,7 @@ def test_orbit_size_determined_by_depth_case():
             else:
                 assert depths[0] == N  # irreducibility forces e_2 primitive
                 want = p**beyond
-            assert shift_orbit(spec).size == want, (spec.exponents, p, N)
+            assert len(shift_orbit(spec)) == want, (spec.exponents, p, N)
 
 
 def test_expected_census_sums_to_closed_form():
@@ -221,7 +221,7 @@ def assert_walk_matches_orbits(n, p, N, indices):
         spec = spec_from_tail(n, pp, tail)
         want = (0, {})
         if is_irreducible_depth(spec) and canonical_tail(spec) == tuple(tail):
-            want = (1, {shift_orbit(spec).size: 1})
+            want = (1, {len(shift_orbit(spec)): 1})
         assert _count_tail_range(n, p, N, idx, idx + 1) == want, (n, p, N, tail)
 
 

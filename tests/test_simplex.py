@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from maxclass.errors import InternalCheckError
@@ -9,7 +9,6 @@ from maxclass.simplex import (
     SimplexTable,
     scaled_congruence_holds,
     simplex,
-    simplex_mod,
     simplex_row_mod,
 )
 
@@ -39,8 +38,6 @@ def test_rejects_negative_arguments():
         simplex(-1, 2)
     with pytest.raises(ValueError):
         simplex(2, -1)
-    with pytest.raises(ValueError):
-        simplex_mod(2, 2, 5, 0)
 
 
 @given(st.integers(0, 8), st.integers(0, 120))
@@ -56,23 +53,10 @@ def test_recursion_identity(k, j):
 def test_modular_examples():
     # T_3(4) = C(6,3) = 20, and 20 mod 5 = 0
     assert simplex(3, 4) == 20
-    assert simplex_mod(3, 4, 5, 1) == 0
-    assert simplex_mod(2, 0, 3, 2) == 0
+    assert simplex(3, 4) % 5 == 0
+    assert simplex(2, 0) % 3**2 == 0
     # T_1(j) = j, so 13 mod 9 = 4
-    assert simplex_mod(1, 13, 3, 2) == 4
-
-
-@given(
-    st.integers(0, 9),
-    st.integers(0, 10**7),
-    # 4, 6 and 9 are composite: for some k < p, k! is then not a unit
-    # mod p^N and simplex_mod falls back to the exact value.
-    st.sampled_from([2, 3, 4, 5, 6, 7, 9, 11]),
-    st.integers(1, 3),
-)
-@settings(max_examples=150)
-def test_modular_fast_path_agrees_with_exact(k, j, p, N):
-    assert simplex_mod(k, j, p, N) == simplex(k, j) % p**N
+    assert simplex(1, 13) % 3**2 == 4
 
 
 def test_table_invariants():
@@ -174,4 +158,4 @@ def test_row_table_matches_pointwise():
         rows = simplex_row_mod(4, p, N)
         for d in range(5):
             for j in range(p**N):
-                assert rows[d][j] == simplex_mod(d, j, p, N)
+                assert rows[d][j] == simplex(d, j) % p**N
