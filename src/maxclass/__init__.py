@@ -24,7 +24,7 @@ from .errors import (
     InternalCheckError,
     MaxclassError,
 )
-from .orbits import canonical_tail, shift_orbit, shift_spec
+from .orbits import shift_orbit, shift_spec
 from .rootlog import PrimePower, depth_of, is_prime
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
 from .stability import (
@@ -68,7 +68,6 @@ __all__ = [
     "StandardFormRep",
     "abscissa",
     "build_rep",
-    "canonical_tail",
     "closed_form_count",
     "count_from_series",
     "cycle_constraint_holds",

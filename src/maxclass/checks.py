@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalCheckError
 from .orbits import shift_orbit, shift_spec
 from .rootlog import PrimePower, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
@@ -25,7 +25,13 @@ from .stability import (
     minimal_stable_index,
     restriction_monotone,
 )
-from .standard_form import EigenSpec, build_rep, cycle_constraint_holds, spec_from_tail
+from .standard_form import (
+    EigenSpec,
+    _validate_closed_form,
+    build_rep,
+    cycle_constraint_holds,
+    spec_from_tail,
+)
 
 GridPoint = tuple[int, int, int]
 
@@ -80,11 +86,12 @@ class PropertyResult:
     detail: str = ""
 
 
-def iter_specs(n: int, p: int, N: int):
-    """All normalized specs (0, e_2, ..., e_n) at (n, p, N).
+def iter_reps(n: int, p: int, N: int):
+    """One unvalidated table per normalized spec (0, e_2, ..., e_n) at (n, p, N).
 
     Each suite does work linear in a spec's p^N table columns, so the
-    budget is charged p^((n-1)N) specs x p^N columns = p^(nN) table cells.
+    budget is charged p^((n-1)N) specs x p^N columns = p^(nN) table cells,
+    before any spec is built.
     """
     pp = PrimePower(p, N)
     specs, budget = pp.dim ** (n - 1), resolve_budget()
@@ -93,7 +100,7 @@ def iter_specs(n: int, p: int, N: int):
         raise BudgetExceededError(f"{cells} table cells ({specs} specs x {pp.dim} columns) "
                                   f"exceed the enumeration budget {budget}")
     tails = itertools.product(range(pp.dim), repeat=n - 1)
-    return (spec_from_tail(n, pp, tail) for tail in tails)
+    return (build_rep(spec_from_tail(n, pp, tail), validate=False) for tail in tails)
 
 
 # -- simplex -----------------------------------------------------------------
@@ -215,13 +222,13 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         q = p**N
-        for spec in iter_specs(n, p, N):
+        for rep in iter_reps(n, p, N):
+            spec = rep.spec
             checked += 1
             try:
-                rep = build_rep(spec, validate=True)
-            except Exception:
+                _validate_closed_form(rep)
+            except InternalCheckError:
                 closed_ok = False
-                rep = build_rep(spec, validate=False)
             const_ok &= rep.rows[n - 1] == tuple([spec.exponents[-1]] * q)
             col1_ok &= rep.column(1) == spec.exponents
             if p >= n:
@@ -266,9 +273,9 @@ def suite_stability(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         q = p**N
-        for spec in iter_specs(n, p, N):
+        for rep in iter_reps(n, p, N):
+            spec = rep.spec
             checked += 1
-            rep = build_rep(spec, validate=False)
             if p >= n:
                 equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
             cols = rep.columns()
@@ -319,24 +326,22 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         q = p**N
-        for spec in iter_specs(n, p, N):
+        for rep in iter_reps(n, p, N):
             checked += 1
-            orbit = shift_orbit(spec)  # raises if the size law breaks
-            rep = build_rep(spec, validate=False)
+            orbit = shift_orbit(rep)  # raises if the size law breaks
             law_ok &= len(orbit) == p ** minimal_stable_index(rep, first_row=2)
+            # The shifted specs get tables of their own, so the composition
+            # is checked against a second, independent table.
             for a in (1, q // 2, q - 1):
-                lhs = shift_spec(shift_spec(spec, a), 1)
-                rhs = shift_spec(spec, (a + 1) % q)
-                compose_ok &= lhs == rhs
+                lhs = shift_spec(build_rep(shift_spec(rep, a), validate=False), 1)
+                compose_ok &= lhs == shift_spec(rep, (a + 1) % q)
             if p >= n:
                 # The one-step shift walks each orbit round, and every spec
                 # of the orbit is in the grid, so a verdict that matches its
                 # successor's on every spec is constant on every orbit.
-                nxt = shift_spec(spec, 1)
-                irr_ok &= is_irreducible_structural(rep) == is_irreducible_structural(
-                    build_rep(nxt, validate=False)
-                )
-                case_ok &= _depth_case(spec) == _depth_case(nxt)
+                nxt = build_rep(shift_spec(rep, 1), validate=False)
+                irr_ok &= is_irreducible_structural(rep) == is_irreducible_structural(nxt)
+                case_ok &= _depth_case(rep.spec) == _depth_case(nxt.spec)
     return [
         PropertyResult("orbit size = p^(restricted minimal stable index)", law_ok,
                        f"{checked} specs"),
@@ -410,12 +415,13 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
     census_ok = True
     stable_ok = True
     tol_ok = True
+    shift_ok = True
     checked = 0
     for n, p, N in grid:
         validate_grid_point(n, p, N)
-        for spec in iter_specs(n, p, N):
+        for rep in iter_reps(n, p, N):
+            spec = rep.spec
             checked += 1
-            rep = build_rep(spec, validate=False)
             c = oracle.realize(rep)
             relations = oracle.check_relations(c)
             relations_ok &= relations
@@ -432,12 +438,15 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
                 tol_ok &= oracle.check_relations(loose) == relations
                 tol_ok &= [oracle.subspace_is_stable(loose, j)
                            for j in range(N + 1)] == stable
+            shifted = oracle.realize(build_rep(shift_spec(rep, 1), validate=False))
+            shift_ok &= oracle.realizes_shift(c, shifted, 1)
     return [
         PropertyResult("matrix relations hold numerically", relations_ok, f"{checked} specs"),
         PropertyResult("commutant dimension 1 = structural = depth criterion", equiv_ok),
         PropertyResult("joint eigenspace census is (p^N, 1) on irreducibles", census_ok),
         PropertyResult("numerical subspace stability matches the minimal index", stable_ok),
         PropertyResult("verdicts stable across tolerances 1e-11..1e-7", tol_ok),
+        PropertyResult("cycle conjugation realizes the shift", shift_ok),
     ]
 
 

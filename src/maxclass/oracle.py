@@ -11,6 +11,8 @@ facts numerically:
 * irreducibility, via the dimension of the joint commutant;
 * the joint eigenspace structure of the diagonal part (count and sizes);
 * stability of the candidate subspaces, from their spanning vectors.
+* that conjugating by a cycle power, then twisting, gives the table of
+  the shifted spec (the orbit layer's reading of the columns).
 
 Floating point is confined to this module on purpose: it must not share
 code paths with the exact machinery it is checking, so subspace bases
@@ -105,6 +107,19 @@ def relation_residuals(c: ComplexRep) -> list[tuple[str, float]]:
 def check_relations(c: ComplexRep) -> bool:
     """All defining relations hold to within c.tol."""
     return all(res <= c.tol for _, res in relation_residuals(c))
+
+
+def realizes_shift(c: ComplexRep, shifted: ComplexRep, a: int) -> bool:
+    """Whether ``shifted`` is ``c`` conjugated by y^a, then twisted.
+
+    y^-a x_i y^a must match x_i of ``shifted`` within c.tol for i >= 2;
+    x_1 may differ by one scalar, the twist that renormalizes e_1 to 0.
+    """
+    power = np.linalg.matrix_power(c.y, a)
+    conjugated = [power.T @ x @ power for x in c.xs]  # y^-1 = y^T
+    twist = shifted.xs[0][0, 0] / conjugated[0][0, 0]
+    conjugated[0] = twist * conjugated[0]
+    return all(np.max(np.abs(u - v)) <= c.tol for u, v in zip(conjugated, shifted.xs))
 
 
 @lru_cache(maxsize=None)

@@ -10,20 +10,20 @@ orbit of a spec is the set of tails
 
 The twist itself never needs representing: x_2, ..., x_n are commutator
 images and therefore twist-invariant, so re-twisting only resets e_1.
+Both functions below read the table they are handed and build none.
 
 The orbit size obeys an exact law: it is p^m where m is the minimal
 stable index of rows 2..n (the restriction that forgets x_1).  The law
 needs the denominators appearing in rows 2..n to be units, i.e.
 p >= n - 1; below that the orbit machinery is out of scope and is
-refused.  Counting twist isoclasses means counting orbits once each,
-which is what the canonical (lexicographically least) tail is for.
+refused.  Counting twist isoclasses means counting orbits once each.
 """
 
 from __future__ import annotations
 
 from .errors import ExceptionalPrimeError, InternalCheckError
 from .stability import minimal_stable_index
-from .standard_form import EigenSpec, build_rep, spec_from_tail
+from .standard_form import EigenSpec, StandardFormRep, spec_from_tail
 
 
 def _require_orbit_scope(spec: EigenSpec) -> None:
@@ -33,27 +33,26 @@ def _require_orbit_scope(spec: EigenSpec) -> None:
         )
 
 
-def shift_spec(spec: EigenSpec, offset: int) -> EigenSpec:
+def shift_spec(rep: StandardFormRep, offset: int) -> EigenSpec:
     """Defining data after conjugating by the offset-th cycle power.
 
     offset = 0 is the identity; the new exponents are read off column
-    offset+1 of the table, with e_1 re-normalized to 0 by twisting.
+    offset+1 of ``rep``, with e_1 re-normalized to 0 by twisting.
     """
-    rep = build_rep(spec, validate=False)
-    col = rep.column(offset + 1, first_row=2)
-    return spec_from_tail(spec.n, spec.pp, col)
+    spec = rep.spec
+    return spec_from_tail(spec.n, spec.pp, rep.column(offset + 1, first_row=2))
 
 
-def shift_orbit(spec: EigenSpec) -> frozenset[tuple[int, ...]]:
-    """All tails reachable from ``spec`` by shifting and re-twisting.
+def shift_orbit(rep: StandardFormRep) -> frozenset[tuple[int, ...]]:
+    """All tails reachable from ``rep``'s spec by shifting and re-twisting.
 
     The number of distinct tails must equal p^m for m the minimal
     stable index of rows 2..n; a mismatch means the implementation (or
     a convention somewhere) is broken, so it raises rather than
     returning bad data.
     """
+    spec = rep.spec
     _require_orbit_scope(spec)
-    rep = build_rep(spec, validate=False)
     tails = frozenset(rep.columns(2))
     m = minimal_stable_index(rep, first_row=2)
     if len(tails) != spec.pp.p**m:
@@ -62,12 +61,3 @@ def shift_orbit(spec: EigenSpec) -> frozenset[tuple[int, ...]]:
             f"spec {spec.exponents} (p={spec.pp.p}, N={spec.pp.N})"
         )
     return tails
-
-
-def canonical_tail(spec: EigenSpec) -> tuple[int, ...]:
-    """Lexicographically least tail in the orbit of ``spec``.
-
-    Deterministic and order-free, so counting distinct canonical tails
-    counts orbits without ever holding more than one orbit.
-    """
-    return min(shift_orbit(spec))

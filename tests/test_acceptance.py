@@ -15,7 +15,6 @@ from maxclass.stability import (
     is_irreducible_structural,
     minimal_stable_index,
 )
-from maxclass.standard_form import build_rep
 from maxclass.zeta import (
     BivariatePolynomial,
     abscissa,
@@ -99,12 +98,11 @@ def test_criterion_4_orbit_size_law():
     bad = []
     total = 0
     for n, p, N in ORBIT_GRID:
-        for spec in checks.iter_specs(n, p, N):
+        for rep in checks.iter_reps(n, p, N):
             total += 1
-            orbit = shift_orbit(spec)
-            rep = build_rep(spec, validate=False)
+            orbit = shift_orbit(rep)
             if len(orbit) != p ** minimal_stable_index(rep, first_row=2):
-                bad.append(spec)
+                bad.append(rep.spec)
     _criterion(
         "4 orbit-size law",
         not bad,
@@ -117,9 +115,9 @@ def test_criterion_5_irreducibility_equivalence():
     bad = []
     total = 0
     for n, p, N in EQUIVALENCE_GRID:
-        for spec in checks.iter_specs(n, p, N):
+        for rep in checks.iter_reps(n, p, N):
+            spec = rep.spec
             total += 1
-            rep = build_rep(spec, validate=False)
             c = oracle.realize(rep)
             residual_ok = all(r < 1e-9 for _, r in oracle.relation_residuals(c))
             depth_irr = is_irreducible_depth(spec)

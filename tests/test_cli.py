@@ -15,6 +15,7 @@ from maxclass.rootlog import is_prime
 from maxclass.zeta import series_coefficients, zeta_closed_form
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "maxclass" / "schemas"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def load_schema(name):
@@ -277,6 +278,64 @@ def test_verify_counting_catches_a_wrong_closed_form(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "counting")
     assert code == 1
     assert "[FAIL] enumerated = closed form = series on the whole grid" in out
+
+
+@pytest.mark.parametrize(
+    "golden, pin",
+    [
+        ("verify_default.txt", []),
+        ("verify_3_3_2.txt", ["--n", "3", "--p", "3", "--N", "2"]),
+        ("verify_4_5_1.txt", ["--n", "4", "--p", "5", "--N", "1"]),
+        ("verify_2_5_2.txt", ["--n", "2", "--p", "5", "--N", "2"]),
+    ],
+)
+def test_verify_all_matches_the_golden_transcript(capsys, golden, pin):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *pin)
+    assert code == 0
+    assert err == ""
+    assert out == (DATA_DIR / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "suite, per_spec", [("standardform", 1), ("stability", 1), ("orbits", 5), ("oracle", 2)]
+)
+def test_verify_builds_few_tables_per_spec(monkeypatch, suite, per_spec):
+    import maxclass.checks as checks
+    from maxclass.standard_form import build_rep
+
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_rep(*args, **kwargs)
+
+    # Every module that holds build_rep counts, so a rebuild hidden in a
+    # helper (say, the orbit layer) shows up too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maxclass") and getattr(module, "build_rep", None) is build_rep:
+            monkeypatch.setattr(module, "build_rep", counted)
+    results = checks.run_suite(suite, 3, 3, 2)
+    assert all(r.passed for r in results)
+    specs = 3 ** (2 * 2)
+    if suite == "orbits":
+        assert len(builds) <= per_spec * specs
+    else:
+        assert len(builds) == per_spec * specs
+
+
+def test_verify_oracle_catches_a_shift_that_skips_columns(capsys, monkeypatch):
+    # Reading column 2*offset + 1 still composes additively, so only the
+    # matrix conjugation can tell it from the true shift (at n >= 3).
+    import maxclass.checks as checks
+    from maxclass.orbits import shift_spec
+
+    monkeypatch.setattr(checks, "shift_spec", lambda rep, offset: shift_spec(rep, 2 * offset))
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
+    )
+    assert code == 1
+    assert "[FAIL] cycle conjugation realizes the shift" in out
+    assert out.count("[FAIL]") == 1
 
 
 def test_verify_orbit_suite_with_grid(capsys):

@@ -3,7 +3,7 @@ import pytest
 from test_acceptance import EQUIVALENCE_GRID
 
 from maxclass import oracle
-from maxclass.checks import iter_specs
+from maxclass.checks import iter_reps
 from maxclass.errors import GuardExceededError
 from maxclass.oracle import (
     SV_THRESHOLD,
@@ -77,8 +77,8 @@ def test_relations_fail_on_corruption():
 
 def test_relation_residuals_are_tiny():
     for n, p, N in SMALL_GRID:
-        for spec in iter_specs(n, p, N):
-            c = realize(build_rep(spec, validate=False))
+        for rep in iter_reps(n, p, N):
+            c = realize(rep)
             for _, residual in relation_residuals(c):
                 assert residual < 1e-9
 
@@ -95,12 +95,11 @@ def test_commutant_examples():
 
 def test_commutant_matches_exact_tests():
     for n, p, N in SMALL_GRID:
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             c = realize(rep)
             irreducible = commutant_dimension(c) == 1
             assert irreducible == is_irreducible_structural(rep)
-            assert irreducible == is_irreducible_depth(spec)
+            assert irreducible == is_irreducible_depth(rep.spec)
 
 
 def _stacked_operator(c):
@@ -119,16 +118,16 @@ def test_commutant_column_norms_match_the_svd():
     # the one place the SVD is still taken, over the whole equivalence grid.
     total = 0
     for n, p, N in EQUIVALENCE_GRID:
-        for spec in iter_specs(n, p, N):
+        for rep in iter_reps(n, p, N):
             total += 1
-            c = realize(build_rep(spec, validate=False))
+            c = realize(rep)
             stacked = _stacked_operator(c)
             sigmas = np.linalg.svd(stacked, compute_uv=False)
             top = sigmas[0]
             svd_verdict = (
                 c.dim if top == 0.0 else int(np.sum(sigmas < SV_THRESHOLD * top))
             )
-            assert commutant_dimension(c) == svd_verdict, (spec.exponents, p, N)
+            assert commutant_dimension(c) == svd_verdict, (rep.spec.exponents, p, N)
             norms = oracle._commutant_singular_values(c)
             assert np.max(np.abs(norms - np.linalg.norm(stacked, axis=0))) <= 1e-12 * top
             assert np.max(np.abs(np.sort(norms)[::-1] - sigmas)) <= 1e-12 * top
@@ -169,8 +168,8 @@ def test_eigenspace_census():
 
 def test_eigenspace_census_exhaustive():
     for n, p, N in SMALL_GRID:
-        for spec in iter_specs(n, p, N):
-            c = realize(build_rep(spec, validate=False))
+        for rep in iter_reps(n, p, N):
+            c = realize(rep)
             if commutant_dimension(c) == 1:
                 assert mutual_eigenspace_census(c) == (p**N, 1)
 
@@ -188,8 +187,7 @@ def test_subspace_examples():
 
 def test_subspace_agrees_with_minimal_index():
     for n, p, N in SMALL_GRID:
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             c = realize(rep)
             minimal = minimal_stable_index(rep)
             for j in range(N + 1):
@@ -198,8 +196,7 @@ def test_subspace_agrees_with_minimal_index():
 
 def test_verdicts_stable_under_tolerance():
     for n, p, N in [(2, 3, 1), (3, 3, 1), (2, 2, 2)]:
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             base = realize(rep)
             for tol in (1e-11, 1e-7):
                 c = ComplexRep(base.p, base.N, base.xs, base.y, tol=tol)

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxclass.checks import iter_specs
+from maxclass.checks import iter_reps
 from maxclass.errors import ExceptionalPrimeError
-from maxclass.orbits import canonical_tail, shift_orbit, shift_spec
+from maxclass.orbits import shift_orbit, shift_spec
 from maxclass.rootlog import PrimePower, depth_of
 from maxclass.stability import is_irreducible_structural, minimal_stable_index
 from maxclass.standard_form import EigenSpec, build_rep, spec_from_tail
@@ -13,32 +13,37 @@ from maxclass.standard_form import EigenSpec, build_rep, spec_from_tail
 ORBIT_GRID = [(3, 5, 1), (3, 3, 2), (2, 3, 2), (4, 5, 1), (2, 2, 3)]
 
 
-def brute_orbit(spec):
+def table(spec):
+    return build_rep(spec, validate=False)
+
+
+def canonical_tail(spec):
+    """Lexicographically least tail in the orbit of ``spec``."""
+    return min(shift_orbit(table(spec)))
+
+
+def brute_orbit(rep):
     """Oracle: iterate single shifts until the tail set closes."""
-    tails = set()
-    q = spec.pp.dim
-    for offset in range(q):
-        tails.add(shift_spec(spec, offset).tail)
-    return tails
+    return {shift_spec(rep, offset).tail for offset in range(rep.dim)}
 
 
 def test_shift_examples():
     pp = PrimePower(5, 1)
     spec = EigenSpec(3, pp, (0, 0, 1))
     # Column 3 of the table is (E[2][3], E[3][3]) = (0 + 1*T_1(2), 1) = (2, 1).
-    assert shift_spec(spec, 2).exponents == (0, 2, 1)
-    assert shift_spec(spec, 0) == spec
+    assert shift_spec(table(spec), 2).exponents == (0, 2, 1)
+    assert shift_spec(table(spec), 0) == spec
     constant = EigenSpec(3, pp, (0, 1, 0))
     for offset in range(5):
-        assert shift_spec(constant, offset) == constant
+        assert shift_spec(table(constant), offset) == constant
 
 
 def test_orbit_examples():
     pp = PrimePower(5, 1)
-    orbit = shift_orbit(EigenSpec(3, pp, (0, 0, 1)))
+    orbit = shift_orbit(table(EigenSpec(3, pp, (0, 0, 1))))
     assert orbit == frozenset((c, 1) for c in range(5))
-    assert len(shift_orbit(EigenSpec(3, pp, (0, 1, 0)))) == 1
-    assert len(shift_orbit(EigenSpec(3, pp, (0, 0, 0)))) == 1
+    assert len(shift_orbit(table(EigenSpec(3, pp, (0, 1, 0))))) == 1
+    assert len(shift_orbit(table(EigenSpec(3, pp, (0, 0, 0))))) == 1
 
 
 def test_canonical_examples():
@@ -50,27 +55,25 @@ def test_canonical_examples():
 
 def test_orbit_scope_guard():
     with pytest.raises(ExceptionalPrimeError):
-        shift_orbit(EigenSpec(4, PrimePower(2, 1), (0, 0, 0, 1)))
+        shift_orbit(table(EigenSpec(4, PrimePower(2, 1), (0, 0, 0, 1))))
 
 
 def test_orbit_size_law_exhaustive():
     for n, p, N in ORBIT_GRID:
-        for spec in iter_specs(n, p, N):
-            orbit = shift_orbit(spec)  # the law is asserted internally too
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
+            orbit = shift_orbit(rep)  # the law is asserted internally too
             assert len(orbit) == p ** minimal_stable_index(rep, first_row=2)
-            assert orbit == brute_orbit(spec)
-            assert spec.tail in orbit  # offset 0 is the identity
+            assert orbit == brute_orbit(rep)
+            assert rep.spec.tail in orbit  # offset 0 is the identity
 
 
 def test_canonical_is_orbit_invariant():
     for n, p, N in ORBIT_GRID:
-        for spec in iter_specs(n, p, N):
-            rep_tail = canonical_tail(spec)
-            orbit = shift_orbit(spec)
-            assert rep_tail in orbit
+        for rep in iter_reps(n, p, N):
+            orbit = shift_orbit(rep)
+            rep_tail = min(orbit)
             for tail in orbit:
-                assert canonical_tail(spec_from_tail(n, spec.pp, tail)) == rep_tail
+                assert canonical_tail(spec_from_tail(n, rep.spec.pp, tail)) == rep_tail
 
 
 @given(st.sampled_from(ORBIT_GRID), st.data())
@@ -82,20 +85,17 @@ def test_shifts_compose(grid, data):
     tail = tuple(data.draw(st.integers(0, q - 1)) for _ in range(n - 1))
     a = data.draw(st.integers(0, q - 1))
     b = data.draw(st.integers(0, q - 1))
-    spec = spec_from_tail(n, pp, tail)
-    assert shift_spec(shift_spec(spec, a), b) == shift_spec(spec, (a + b) % q)
+    rep = table(spec_from_tail(n, pp, tail))
+    assert shift_spec(table(shift_spec(rep, a)), b) == shift_spec(rep, (a + b) % q)
 
 
 def test_irreducibility_is_orbit_invariant():
     for n, p, N in ORBIT_GRID:
-        for spec in iter_specs(n, p, N):
-            base = is_irreducible_structural(build_rep(spec, validate=False))
-            for tail in shift_orbit(spec):
-                other = spec_from_tail(n, spec.pp, tail)
-                assert (
-                    is_irreducible_structural(build_rep(other, validate=False))
-                    == base
-                )
+        for rep in iter_reps(n, p, N):
+            base = is_irreducible_structural(rep)
+            for tail in shift_orbit(rep):
+                other = table(spec_from_tail(n, rep.spec.pp, tail))
+                assert is_irreducible_structural(other) == base
 
 
 def test_shift_matches_matrix_conjugation():
@@ -105,20 +105,18 @@ def test_shift_matches_matrix_conjugation():
     import numpy as np
 
     from maxclass.oracle import realize
-    from maxclass.standard_form import build_rep as build
 
     for n, p, N in [(3, 5, 1), (2, 3, 2), (4, 5, 1), (3, 3, 2)]:
         pp = PrimePower(p, N)
         q = pp.dim
         for tail in [(1,) * (n - 1), tuple(range(1, n)), (q - 1,) * (n - 1)]:
-            spec = spec_from_tail(n, pp, tail)
-            c = realize(build(spec, validate=False))
+            rep = table(spec_from_tail(n, pp, tail))
+            c = realize(rep)
             for offset in (1, q - 1):
                 rotation = np.linalg.matrix_power(c.y.T, offset)
                 conjugated = [rotation @ x @ rotation.conj().T for x in c.xs]
                 twist = conjugated[0][0, 0].conj()
-                shifted = build(shift_spec(spec, offset), validate=False)
-                target = realize(shifted)
+                target = realize(table(shift_spec(rep, offset)))
                 assert np.allclose(conjugated[0] * twist, target.xs[0])
                 for i in range(1, n):
                     assert np.allclose(conjugated[i], target.xs[i])
@@ -129,11 +127,11 @@ def test_depth_case_is_orbit_invariant():
     # the depth profile over i >= 3 and over i >= 2 never move inside an
     # orbit (p >= n).
     for n, p, N in ORBIT_GRID:
-        for spec in iter_specs(n, p, N):
-            def profile(s):
-                depths = [depth_of(e, p, N) for e in s.tail]
+        for rep in iter_reps(n, p, N):
+            def profile(tail):
+                depths = [depth_of(e, p, N) for e in tail]
                 return max(depths), max(depths[1:], default=0)
 
-            base = profile(spec)
-            for tail in shift_orbit(spec):
-                assert profile(spec_from_tail(n, spec.pp, tail)) == base
+            base = profile(rep.spec.tail)
+            for tail in shift_orbit(rep):
+                assert profile(tail) == base

@@ -1,7 +1,7 @@
 import pytest
 
 from maxclass.errors import ExceptionalPrimeError, InternalCheckError
-from maxclass.checks import iter_specs
+from maxclass.checks import iter_reps
 from maxclass.rootlog import PrimePower
 from maxclass.stability import (
     _verify_full_periodicity,
@@ -41,8 +41,7 @@ def test_minimal_stable_examples():
 
 def test_minimal_stable_matches_brute_force():
     for n, p, N in EXHAUSTIVE_GRID:
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             for first_row in range(1, n + 1):
                 assert minimal_stable_index(rep, first_row) == brute_minimal_stable(
                     rep, first_row
@@ -69,16 +68,14 @@ def test_depth_criterion_examples():
 
 def test_depth_equals_structural_exhaustively():
     for n, p, N in EXHAUSTIVE_GRID:
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
-            assert is_irreducible_depth(spec) == is_irreducible_structural(rep)
+        for rep in iter_reps(n, p, N):
+            assert is_irreducible_depth(rep.spec) == is_irreducible_structural(rep)
 
 
 def test_column_equality_propagates():
     for n, p, N in EXHAUSTIVE_GRID:
         q = p**N
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             cols = [rep.column(c) for c in range(1, q + 1)]
             for c1 in range(q):
                 for c2 in range(c1 + 1, q):
@@ -97,8 +94,7 @@ def test_restriction_monotone():
     for n, p, N in EXHAUSTIVE_GRID:
         if n == 2:
             continue
-        for spec in iter_specs(n, p, N):
-            rep = build_rep(spec, validate=False)
+        for rep in iter_reps(n, p, N):
             assert all(restriction_monotone(rep, k) for k in range(2, n))
 
 
@@ -107,11 +103,10 @@ def test_shallow_specs_repeat_early():
     # period p^(max depth), bounding the minimal stable index below N.
     for n, p, N in EXHAUSTIVE_GRID:
         q = p**N
-        for spec in iter_specs(n, p, N):
-            d = spec.max_tail_depth()
+        for rep in iter_reps(n, p, N):
+            d = rep.spec.max_tail_depth()
             if d == N:
                 continue
-            rep = build_rep(spec, validate=False)
             cols = [rep.column(c) for c in range(1, q + 1)]
             step = p**d
             assert all(cols[c] == cols[(c + step) % q] for c in range(q))
