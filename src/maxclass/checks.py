@@ -439,7 +439,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
                 tol_ok &= [oracle.subspace_is_stable(loose, j)
                            for j in range(N + 1)] == stable
             shifted = oracle.realize(build_rep(shift_spec(rep, 1), validate=False))
-            shift_ok &= oracle.realizes_shift(c, shifted, 1)
+            shift_ok &= oracle.realizes_unit_shift(c, shifted)
     return [
         PropertyResult("matrix relations hold numerically", relations_ok, f"{checked} specs"),
         PropertyResult("commutant dimension 1 = structural = depth criterion", equiv_ok),

@@ -109,14 +109,13 @@ def check_relations(c: ComplexRep) -> bool:
     return all(res <= c.tol for _, res in relation_residuals(c))
 
 
-def realizes_shift(c: ComplexRep, shifted: ComplexRep, a: int) -> bool:
-    """Whether ``shifted`` is ``c`` conjugated by y^a, then twisted.
+def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> bool:
+    """Whether ``shifted`` is ``c`` conjugated by y, then twisted.
 
-    y^-a x_i y^a must match x_i of ``shifted`` within c.tol for i >= 2;
+    y^-1 x_i y must match x_i of ``shifted`` within c.tol for i >= 2;
     x_1 may differ by one scalar, the twist that renormalizes e_1 to 0.
     """
-    power = np.linalg.matrix_power(c.y, a)
-    conjugated = [power.T @ x @ power for x in c.xs]  # y^-1 = y^T
+    conjugated = [c.y.T @ x @ c.y for x in c.xs]  # y^-1 = y^T
     twist = shifted.xs[0][0, 0] / conjugated[0][0, 0]
     conjugated[0] = twist * conjugated[0]
     return all(np.max(np.abs(u - v)) <= c.tol for u, v in zip(conjugated, shifted.xs))
