@@ -19,8 +19,15 @@ code paths with the exact machinery it is checking, so subspace bases
 are built from their definition and commutants from linear algebra, not
 from column-tuple bookkeeping.
 
+The work is batched: `realize` stacks the specs of one (n, p, N) along
+a leading axis (a single table gets none), and every check broadcasts
+over it, one value per spec.  A stack of S specs holds S n p^(2N)
+entries, so `checks.suite_oracle` realizes chunks of at most
+`checks._ORACLE_CHUNK` entries (or one spec), which bounds its memory.
+
 Each piece of floating-point work is done once: the orthonormal basis
-of each candidate subspace is cached per (p, N, j).  The commutant
+of each candidate subspace is cached per (p, N, j), and a caller reads
+each relation or stability residual at every tolerance.  The commutant
 needs no SVD: restricted to the cycle commutant, the stacked commutator
 operator has pairwise orthogonal columns, so its singular values are
 its column norms.  The SVD of that operator, built on
@@ -45,11 +52,11 @@ SV_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class ComplexRep:
-    """Matrices of a standard-form representation, plus a tolerance."""
+    """Stacked x_i of shape (..., n, dim, dim), the shared cycle y, a tolerance."""
 
     p: int
     N: int
-    xs: tuple[np.ndarray, ...]
+    xs: np.ndarray
     y: np.ndarray
     tol: float = DEFAULT_TOL
 
@@ -59,7 +66,7 @@ class ComplexRep:
 
     @property
     def n(self) -> int:
-        return len(self.xs)
+        return self.xs.shape[-3]
 
 
 def _cycle_matrix(dim: int) -> np.ndarray:
@@ -67,58 +74,57 @@ def _cycle_matrix(dim: int) -> np.ndarray:
     return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
 
 
-def realize(rep: StandardFormRep) -> ComplexRep:
-    """Turn an exponent table into complex matrices at tolerance DEFAULT_TOL.
+def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
+    """Turn exponent tables of one (n, p, N) into complex matrices.
 
     Entry j of x_i is exp(2*pi*i * E[i][j] / p^N); y sends basis vector
-    e_j to e_{j+1} cyclically.
+    e_j to e_{j+1} cyclically.  A list of tables is stacked along a
+    leading spec axis; a single table gets none.
     """
-    dim = rep.dim
+    single = isinstance(tables, StandardFormRep)
+    first = tables if single else tables[0]
+    dim = first.dim
     if dim > DEFAULT_ORACLE_GUARD:
         raise GuardExceededError(f"dim {dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}")
-    xs = tuple(
-        np.diag(np.exp(2j * np.pi * np.array(row, dtype=float) / dim))
-        for row in rep.rows
-    )
-    pp = rep.spec.pp
+    rows = np.array(first.rows if single else [t.rows for t in tables], dtype=float)
+    xs = np.zeros(rows.shape + (dim,), dtype=complex)
+    xs[..., np.arange(dim), np.arange(dim)] = np.exp(2j * np.pi * rows / dim)
+    pp = first.spec.pp
     return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))
 
 
-def relation_residuals(c: ComplexRep) -> list[tuple[str, float]]:
-    """Max-entry residual of every defining relation.
+def relation_residuals(c: ComplexRep) -> list[tuple[str, np.ndarray]]:
+    """Max-entry residual of every defining relation, one per spec.
 
     Diagonal unitaries invert by conjugation and y by transposition, so
     the commutators are exact matrix products.
     """
-    y = c.y
-    y_inv = y.T.conj()
-    out = []
-    for i, x in enumerate(c.xs[:-1], start=1):
-        x_inv = x.conj()
-        comm = x @ y @ x_inv @ y_inv
-        out.append((f"[x_{i}, y] = x_{i + 1}", float(np.max(np.abs(comm - c.xs[i])))))
-    xn = c.xs[-1]
-    out.append((f"x_{c.n} central", float(np.max(np.abs(xn @ y - y @ xn)))))
-    scalar = xn[0, 0] * np.eye(c.dim)
-    out.append((f"x_{c.n} scalar", float(np.max(np.abs(xn - scalar)))))
+    xs, y = c.xs, c.y
+    lower = xs[..., :-1, :, :]
+    gaps = np.abs(lower @ y @ lower.conj() @ y.T - xs[..., 1:, :, :]).max(axis=(-2, -1))
+    out = [(f"[x_{i}, y] = x_{i + 1}", gaps[..., i - 1]) for i in range(1, c.n)]
+    xn = xs[..., -1, :, :]
+    out.append((f"x_{c.n} central", np.abs(xn @ y - y @ xn).max(axis=(-2, -1))))
+    scalar = xn[..., :1, :1] * np.eye(c.dim)
+    out.append((f"x_{c.n} scalar", np.abs(xn - scalar).max(axis=(-2, -1))))
     return out
 
 
-def check_relations(c: ComplexRep) -> bool:
-    """All defining relations hold to within c.tol."""
-    return all(res <= c.tol for _, res in relation_residuals(c))
+def check_relations(c: ComplexRep) -> np.ndarray:
+    """Per spec: all defining relations hold to within c.tol."""
+    return np.all([res <= c.tol for _, res in relation_residuals(c)], axis=0)
 
 
-def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> bool:
-    """Whether ``shifted`` is ``c`` conjugated by y, then twisted.
+def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> np.ndarray:
+    """Per spec: whether ``shifted`` is ``c`` conjugated by y, then twisted.
 
     y^-1 x_i y must match x_i of ``shifted`` within c.tol for i >= 2;
     x_1 may differ by one scalar, the twist that renormalizes e_1 to 0.
     """
-    conjugated = [c.y.T @ x @ c.y for x in c.xs]  # y^-1 = y^T
-    twist = shifted.xs[0][0, 0] / conjugated[0][0, 0]
-    conjugated[0] = twist * conjugated[0]
-    return all(np.max(np.abs(u - v)) <= c.tol for u, v in zip(conjugated, shifted.xs))
+    conjugated = c.y.T @ c.xs @ c.y  # y^-1 = y^T
+    x1, target = conjugated[..., 0, :, :], shifted.xs[..., 0, :, :]
+    x1 *= target[..., :1, :1] / x1[..., :1, :1]  # twists conjugated in place
+    return np.abs(conjugated - shifted.xs).max(axis=(-3, -2, -1)) <= c.tol
 
 
 @lru_cache(maxsize=None)
@@ -155,14 +161,14 @@ def _commutant_singular_values(c: ComplexRep) -> np.ndarray:
 
         sigma_k^2 = sum_i sum_c |x_i[c + k] - x_i[c]|^2 / dim.
     """
-    eig = np.stack([np.diag(x) for x in c.xs])  # n x dim
+    eig = np.diagonal(c.xs, axis1=-2, axis2=-1)  # (..., n, dim)
     shifted = (np.arange(c.dim)[:, None] + np.arange(c.dim)) % c.dim  # [k, c] -> c + k
-    gaps = eig[:, shifted] - eig[:, None, :]  # n x dim (k) x dim (c)
-    return np.sqrt(np.sum(gaps.real**2 + gaps.imag**2, axis=(0, 2)) / c.dim)
+    gaps = eig[..., shifted] - eig[..., None, :]  # (..., n, dim (k), dim (c))
+    return np.sqrt(np.sum(gaps.real**2 + gaps.imag**2, axis=(-3, -1)) / c.dim)
 
 
-def commutant_dimension(c: ComplexRep) -> int:
-    """dim {A : A commutes with every x_i and with y}.
+def commutant_dimension(c: ComplexRep) -> np.ndarray:
+    """dim {A : A commutes with every x_i and with y}, one per spec.
 
     This is the joint nullity of the stacked operators A -> gA - Ag over
     the generators, read off singular values (sigma below SV_THRESHOLD *
@@ -178,36 +184,38 @@ def commutant_dimension(c: ComplexRep) -> int:
             f"dim {c.dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}"
         )
     sigmas = _commutant_singular_values(c)
-    top = sigmas.max()
-    if top == 0.0:
-        return c.dim
-    return int(np.sum(sigmas < SV_THRESHOLD * top))
+    top = sigmas.max(axis=-1, keepdims=True)
+    nullity = np.sum(sigmas < SV_THRESHOLD * top, axis=-1)
+    return np.where(top[..., 0] == 0.0, c.dim, nullity)[()]
 
 
-def mutual_eigenspace_census(c: ComplexRep) -> tuple[int, int]:
-    """(number of joint eigenspaces of the x_i, largest dimension).
+def mutual_eigenspace_census(c: ComplexRep) -> tuple[np.ndarray, np.ndarray]:
+    """(number of joint eigenspaces of the x_i, largest dimension), per spec.
 
     Basis vectors are grouped by their joint eigenvalue signature across
     x_1..x_n, two signatures counting as equal when every component is
     within c.tol.  Each vector joins the first class whose first member
-    is that close to it, or starts a new class.  Requires an irreducible
-    input (checked through the commutant); the expected answer is then
+    is that close to it, or starts a new class.  Requires irreducible
+    inputs (checked through the commutant); the expected answer is then
     (p^N, 1).
     """
-    if commutant_dimension(c) != 1:
+    if np.any(commutant_dimension(c) != 1):
         raise ValueError("mutual eigenspace census expects an irreducible input")
-    sigs = np.stack([np.diag(x) for x in c.xs], axis=1)  # dim x n
-    close = np.max(np.abs(sigs[:, None, :] - sigs[None, :, :]), axis=2) <= c.tol
-    firsts: list[int] = []
-    sizes: list[int] = []
-    for j in range(c.dim):
-        hits = np.flatnonzero(close[firsts, j])
-        if hits.size:
-            sizes[hits[0]] += 1
-        else:
-            firsts.append(j)
-            sizes.append(1)
-    return len(firsts), max(sizes)
+    sigs = np.diagonal(c.xs, axis1=-2, axis2=-1)  # (..., n, dim)
+    lead = sigs.shape[:-2]
+    sigs = sigs.reshape(-1, c.n, c.dim)
+    close = np.max(np.abs(sigs[..., :, None] - sigs[..., None, :]), axis=1) <= c.tol
+    # first[s, j]: vector j starts a class of spec s; sizes by first member.
+    first = np.zeros(close.shape[:2], dtype=bool)
+    sizes = np.zeros(close.shape[:2], dtype=int)
+    first[:, 0], sizes[:, 0] = True, 1
+    specs = np.arange(len(close))
+    for j in range(1, c.dim):
+        hits = close[:, :j, j] & first[:, :j]
+        joined = hits.any(axis=1)
+        sizes[specs, np.where(joined, hits.argmax(axis=1), j)] += 1
+        first[:, j] = ~joined
+    return first.sum(axis=1).reshape(lead)[()], sizes.max(axis=1).reshape(lead)[()]
 
 
 @lru_cache(maxsize=None)
@@ -227,19 +235,20 @@ def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
     return basis
 
 
-def subspace_is_stable(c: ComplexRep, j: int) -> bool:
-    """Whether every generator maps the j-th candidate subspace into itself.
+def stability_residual(c: ComplexRep, j: int) -> np.ndarray:
+    """Per spec: how far the generators carry the j-th candidate subspace out.
 
-    The basis is orthonormal, and invariance of each generator image
-    is tested against c.tol on the orthogonal complement's share.
+    The basis is orthonormal, so this is the largest entry, over every
+    generator, of the image's share in the orthogonal complement.
     """
     if not 0 <= j <= c.N:
         raise ValueError(f"subspace index {j} out of range [0, {c.N}]")
     basis = _stable_basis(c.p, c.N, j)
-    basis_h = basis.conj().T
-    for g in (*c.xs, c.y):
-        image = g @ basis
-        residual = image - basis @ (basis_h @ image)
-        if np.max(np.abs(residual)) > c.tol:
-            return False
-    return True
+    x_leak, y_leak = (np.abs(image - basis @ (basis.conj().T @ image)).max(axis=(-2, -1))
+                      for image in (c.xs @ basis, c.y @ basis))
+    return np.maximum(x_leak.max(axis=-1), y_leak)
+
+
+def subspace_is_stable(c: ComplexRep, j: int) -> np.ndarray:
+    """Per spec: every generator maps the j-th candidate subspace into itself."""
+    return stability_residual(c, j) <= c.tol

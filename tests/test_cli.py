@@ -151,7 +151,11 @@ def test_count_nonprime(capsys):
     assert "not prime" in err
 
 
-def test_count_threads_consistent(capsys):
+def test_count_threads_consistent(capsys, monkeypatch):
+    import maxclass.counting as counting
+
+    # (4,5,2) is below the shard floor; lower it so the pool really runs.
+    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
     code1, out1, _ = run_cli(capsys, "count", "--n", "4", "--p", "5", "--N", "2")
     code2, out2, _ = run_cli(
         capsys, "count", "--n", "4", "--p", "5", "--N", "2", "--threads", "2"
@@ -356,24 +360,49 @@ def test_verify_oracle_suite_with_grid(capsys):
 
 @pytest.mark.parametrize("verdict", ["check_relations", "subspace_is_stable"])
 def test_verify_oracle_compares_verdicts_across_tolerances(capsys, monkeypatch, verdict):
-    # The suite computes each verdict at the default tolerance once; a
-    # verdict that flips only at the loosest tolerance must still fail
-    # the tolerance property, and only that one.
+    # The suite computes the residual behind each verdict once and reads
+    # it at every tolerance.  A residual of 1e-10 keeps the verdict at the
+    # default 1e-9 but flips it at 1e-11, so it must fail the tolerance
+    # property, and only that one.
     import maxclass.oracle as oracle
 
-    original = getattr(oracle, verdict)
-
-    def flipped_at_1e_7(c, *args):
-        result = original(c, *args)
-        return not result if c.tol == 1e-7 else result
-
-    monkeypatch.setattr(oracle, verdict, flipped_at_1e_7)
+    if verdict == "check_relations":
+        original = oracle.relation_residuals
+        monkeypatch.setattr(oracle, "relation_residuals",
+                            lambda c: [(rel, res + 1e-10) for rel, res in original(c)])
+    else:
+        original = oracle.stability_residual
+        monkeypatch.setattr(oracle, "stability_residual", lambda c, j: original(c, j) + 1e-10)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
     )
     assert code == 1
     assert "[FAIL] verdicts stable across tolerances 1e-11..1e-7" in out
     assert out.count("[FAIL]") == 1
+
+
+def test_verify_oracle_catches_one_bad_spec_in_a_stack(capsys, monkeypatch):
+    # One doctored table among the 81 of (3,3,2), stacked with sound ones:
+    # the batch reductions must still report its broken relation.
+    import maxclass.checks as checks
+    from maxclass.standard_form import StandardFormRep, build_rep
+
+    doctored = []
+
+    def one_entry_off(spec, validate=True):
+        rep = build_rep(spec, validate)
+        if spec.tail != (1, 1):
+            return rep
+        doctored.append(spec)
+        first, *rest = rep.rows
+        return StandardFormRep(spec, (((first[0] + 1) % rep.dim, *first[1:]), *rest))
+
+    monkeypatch.setattr(checks, "build_rep", one_entry_off)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "3", "--N", "2"
+    )
+    assert doctored and code == 1
+    assert "[FAIL] matrix relations hold numerically (81 specs)" in out
 
 
 def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):

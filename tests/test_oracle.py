@@ -1,9 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from test_acceptance import EQUIVALENCE_GRID
 
-from maxclass import oracle
-from maxclass.checks import iter_reps
+from maxclass import checks, oracle
+from maxclass.checks import ORACLE_GRID, iter_reps
 from maxclass.errors import GuardExceededError
 from maxclass.oracle import (
     SV_THRESHOLD,
@@ -12,9 +15,11 @@ from maxclass.oracle import (
     commutant_dimension,
     mutual_eigenspace_census,
     realize,
+    realizes_unit_shift,
     relation_residuals,
     subspace_is_stable,
 )
+from maxclass.orbits import shift_spec
 from maxclass.rootlog import PrimePower, is_prime
 from maxclass.stability import (
     is_irreducible_depth,
@@ -66,11 +71,9 @@ def test_realize_matches_example_table():
 def test_relations_fail_on_corruption():
     rep = build_rep(EigenSpec(3, PrimePower(5, 1), (0, 1, 1)))
     c = realize(rep)
-    xs = list(c.xs)
-    bad = xs[0].copy()
-    bad[2, 2] *= np.exp(0.3j)
-    xs[0] = bad
-    corrupted = ComplexRep(c.p, c.N, tuple(xs), c.y, c.tol)
+    xs = c.xs.copy()
+    xs[0, 2, 2] *= np.exp(0.3j)
+    corrupted = ComplexRep(c.p, c.N, xs, c.y, c.tol)
     assert not check_relations(corrupted)
     assert check_relations(c)
 
@@ -203,3 +206,104 @@ def test_verdicts_stable_under_tolerance():
                 assert check_relations(c) == check_relations(base)
                 for j in range(N + 1):
                     assert subspace_is_stable(c, j) == subspace_is_stable(base, j)
+
+
+
+# -- the stacked oracle ------------------------------------------------------
+
+
+def _verdicts(c, shifted):
+    """Every per-spec verdict the oracle suite reads: one row per spec."""
+    columns = [check_relations(c), commutant_dimension(c), realizes_unit_shift(c, shifted),
+               *(subspace_is_stable(c, j) for j in range(c.N + 1))]
+    return np.stack(columns, axis=-1).tolist()
+
+
+@pytest.mark.parametrize("n, p, N", ORACLE_GRID)
+def test_stack_of_one_agrees_with_the_whole_stack(n, p, N):
+    reps = list(iter_reps(n, p, N))
+    shifts = [build_rep(shift_spec(rep, 1), validate=False) for rep in reps]
+    c, shifted = realize(reps), realize(shifts)
+    assert c.xs.shape == (len(reps), n, p**N, p**N)
+    whole = _verdicts(c, shifted)
+    irreducible = commutant_dimension(c) == 1
+    eigenspaces, largest = mutual_eigenspace_census(
+        dataclasses.replace(c, xs=c.xs[irreducible]))
+    assert eigenspaces.tolist() == [p**N] * int(irreducible.sum())
+    assert largest.tolist() == [1] * int(irreducible.sum())
+    for s, (rep, shift) in enumerate(zip(reps, shifts)):
+        assert _verdicts(realize([rep]), realize([shift])) == [whole[s]]
+        # A single table is the unstacked case of the same functions.
+        single = realize(rep)
+        assert np.array_equal(single.xs, c.xs[s])
+        assert _verdicts(single, realize(shift)) == whole[s]
+        if irreducible[s]:
+            assert mutual_eigenspace_census(single) == (p**N, 1)
+
+
+def test_census_refuses_a_stack_with_one_reducible_spec():
+    reps = [build_rep(EigenSpec(3, PrimePower(5, 1), e)) for e in ((0, 0, 1), (0, 0, 0))]
+    assert commutant_dimension(realize(reps)).tolist() == [1, 5]
+    with pytest.raises(ValueError):
+        mutual_eigenspace_census(realize(reps))
+
+
+def _suite_at(monkeypatch, chunk, grid):
+    monkeypatch.setattr(checks, "_ORACLE_CHUNK", chunk)
+    return [checks.suite_oracle([point]) for point in grid]
+
+
+def test_oracle_suite_is_independent_of_the_chunk_size(monkeypatch):
+    grid = [*ORACLE_GRID, (3, 3, 2)]
+    default = _suite_at(monkeypatch, checks._ORACLE_CHUNK, grid)
+    assert all(r.passed for results in default for r in results)
+    for chunk in (1, 7, 2**16):
+        assert _suite_at(monkeypatch, chunk, grid) == default
+
+
+def test_oracle_suite_stacks_stay_under_the_chunk(monkeypatch):
+    stacks = []
+
+    def recorded(tables):
+        c = realize(tables)
+        stacks.append(c.xs.size)
+        return c
+
+    monkeypatch.setattr(oracle, "realize", recorded)
+    # (3,5,2) has 625 specs of 3 x 25 x 25 entries; each chunk is realized
+    # twice, as the specs and as their shifts.
+    per_spec = 3 * 25 * 25
+    results = checks.suite_oracle([(3, 5, 2)])
+    assert all(r.passed for r in results)
+    assert len(stacks) == 2 * math.ceil(625 / (checks._ORACLE_CHUNK // per_spec)) > 2
+    assert max(stacks) <= checks._ORACLE_CHUNK
+    assert sum(stacks) == 2 * 625 * per_spec
+
+
+def _census_loop(c):
+    """Reference census of one unstacked spec: the first-member rule as a loop."""
+    sigs = np.stack([np.diag(x) for x in c.xs], axis=1)  # dim x n
+    firsts, sizes = [], []
+    for j in range(c.dim):
+        hits = [k for k, f in enumerate(firsts) if np.max(np.abs(sigs[f] - sigs[j])) <= c.tol]
+        if hits:
+            sizes[hits[0]] += 1
+        else:
+            firsts.append(j)
+            sizes.append(1)
+    return len(firsts), max(sizes)
+
+
+@pytest.mark.parametrize("tol", [oracle.DEFAULT_TOL, 0.8, 1.2, 1.9])
+def test_census_matches_the_first_member_loop(tol):
+    # Loose tolerances merge nearby signatures, so the classes are uneven.
+    seen = set()
+    for n, p, N in ORACLE_GRID:
+        c = realize(list(iter_reps(n, p, N)))
+        irreducible = ComplexRep(p, N, c.xs[commutant_dimension(c) == 1], c.y, tol=tol)
+        eigenspaces, largest = mutual_eigenspace_census(irreducible)
+        got = list(zip(eigenspaces.tolist(), largest.tolist()))
+        want = [_census_loop(ComplexRep(p, N, xs, c.y, tol=tol)) for xs in irreducible.xs]
+        assert got == want
+        seen.update(got)
+    assert len(seen) > 1 or tol == oracle.DEFAULT_TOL

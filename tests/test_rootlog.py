@@ -71,3 +71,20 @@ def test_product_bound_exhaustive():
         for a in range(q):
             for b in range(q):
                 assert product_bound_holds(a, b, p, N)
+
+
+@pytest.mark.parametrize("depth", [depth_of, lambda e, p, N: e % 2], ids=["depth_of", "parity"])
+def test_suite_product_property_matches_the_pairwise_loop(monkeypatch, depth):
+    # The suite compares the whole q x q grid at once; the loop is the reference.
+    import maxclass.checks as checks
+
+    monkeypatch.setattr(checks, "depth_of", depth)
+    want = all(
+        depth((a + b) % p**N, p, N) <= max(depth(a, p, N), depth(b, p, N))
+        for p, N in SMALL_CONTEXTS
+        for a in range(p**N)
+        for b in range(p**N)
+    )
+    product = checks.suite_rootlog()[1]
+    assert product.name == "product depth bounded by max of factor depths"
+    assert product.passed == want == (depth is depth_of)
