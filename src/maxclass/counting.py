@@ -72,9 +72,6 @@ MAX_TAILS = 2**62
 _BLOCK = 4096
 # Columns each block walks before its unsettled rows join the survivor pool.
 _EARLY_STEPS = 8
-# Fewest tails per shard: a pool takes about 12 ms to start, and two
-# workers beat the serial walk only from about 2^18 tails.
-_MIN_SHARD_TAILS = 2**18
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -273,10 +270,9 @@ def _shard_bounds(total_tails: int, workers: int) -> list[int]:
 
     Returns the boundaries b_0 = 0 < b_1 < ... < b_k = total_tails of
     the k shards [b_i, b_{i+1}), so more workers than cores never means
-    more processes than cores, and each shard gets at least
-    ``_MIN_SHARD_TAILS`` tails: a smaller input runs in one process.
+    more processes than cores, nor more processes than tails.
     """
-    shards = max(1, min(workers, total_tails // _MIN_SHARD_TAILS, os.cpu_count() or 1))
+    shards = max(1, min(workers, total_tails, os.cpu_count() or 1))
     return [total_tails * i // shards for i in range(shards + 1)]
 
 

@@ -151,11 +151,7 @@ def test_count_nonprime(capsys):
     assert "not prime" in err
 
 
-def test_count_threads_consistent(capsys, monkeypatch):
-    import maxclass.counting as counting
-
-    # (4,5,2) is below the shard floor; lower it so the pool really runs.
-    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
+def test_count_threads_consistent(capsys):
     code1, out1, _ = run_cli(capsys, "count", "--n", "4", "--p", "5", "--N", "2")
     code2, out2, _ = run_cli(
         capsys, "count", "--n", "4", "--p", "5", "--N", "2", "--threads", "2"
@@ -361,24 +357,32 @@ def test_verify_oracle_suite_with_grid(capsys):
 @pytest.mark.parametrize("verdict", ["check_relations", "subspace_is_stable"])
 def test_verify_oracle_compares_verdicts_across_tolerances(capsys, monkeypatch, verdict):
     # The suite computes the residual behind each verdict once and reads
-    # it at every tolerance.  A residual of 1e-10 keeps the verdict at the
-    # default 1e-9 but flips it at 1e-11, so it must fail the tolerance
-    # property, and only that one.
+    # it at every tolerance.  A nudge of 1e-10 keeps the verdict at the
+    # default 1e-9 and flips it only at 1e-11, so only the tolerance
+    # property fails.  A nudge of 5e-9 breaks the verdict itself and
+    # flips it only at 1e-7, so a suite that skips 1e-7 would miss it.
     import maxclass.oracle as oracle
 
-    if verdict == "check_relations":
-        original = oracle.relation_residuals
-        monkeypatch.setattr(oracle, "relation_residuals",
-                            lambda c: [(rel, res + 1e-10) for rel, res in original(c)])
-    else:
-        original = oracle.stability_residual
-        monkeypatch.setattr(oracle, "stability_residual", lambda c, j: original(c, j) + 1e-10)
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
-    )
-    assert code == 1
-    assert "[FAIL] verdicts stable across tolerances 1e-11..1e-7" in out
-    assert out.count("[FAIL]") == 1
+    property_name = {
+        "check_relations": "[FAIL] matrix relations hold numerically",
+        "subspace_is_stable": "[FAIL] numerical subspace stability matches the minimal index",
+    }[verdict]
+    relation_residuals = oracle.relation_residuals
+    stability_residual = oracle.stability_residual
+    for nudge, broken in ((1e-10, []), (5e-9, [property_name])):
+        if verdict == "check_relations":
+            monkeypatch.setattr(oracle, "relation_residuals", lambda c: [
+                (rel, res + nudge) for rel, res in relation_residuals(c)])
+        else:
+            monkeypatch.setattr(oracle, "stability_residual",
+                                lambda c, j: stability_residual(c, j) + nudge)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
+        )
+        assert code == 1
+        expected = ["[FAIL] verdicts stable across tolerances 1e-11..1e-7", *broken]
+        assert all(line in out for line in expected)
+        assert out.count("[FAIL]") == len(expected)
 
 
 def test_verify_oracle_catches_one_bad_spec_in_a_stack(capsys, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxclass import counting
 from maxclass.checks import iter_reps
 from maxclass.counting import (
     CountReport,
@@ -134,20 +133,12 @@ def test_shard_count_is_capped(monkeypatch, cpus):
     if cpus is not None:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     cap = os.cpu_count() or 1
-    floor = counting._MIN_SHARD_TAILS
-    for total in (2, 7, 15625, floor - 1, floor, 2 * floor, 5**9):
-        for min_tails in (1, floor):
-            monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", min_tails)
-            bounds = _shard_bounds(total, workers=10_000)
-            shards = len(bounds) - 1
-            assert 1 <= shards <= min(cap, total)
-            assert shards == 1 or total // shards >= min_tails
-            assert shards == max(1, min(cap, total // min_tails))
-            assert bounds[0] == 0 and bounds[-1] == total
-            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-        assert len(_shard_bounds(total, workers=1)) == 2
-    # Below the floor an input runs in one process whatever the workers.
-    assert len(_shard_bounds(floor - 1, workers=2)) == 2
+    for total in (2, 7, 15625):
+        bounds = _shard_bounds(total, workers=10_000)
+        assert 1 <= len(bounds) - 1 <= min(cap, total)
+        assert bounds[0] == 0 and bounds[-1] == total
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+    assert len(_shard_bounds(15625, workers=1)) == 2
 
 
 def test_triple_agreement_on_grid():
@@ -200,9 +191,7 @@ def test_against_brute_force_partition():
         assert (count, census) == (report.r_enumerated, report.orbit_census)
 
 
-def test_parallel_enumeration_is_deterministic(monkeypatch):
-    # (4,5,2) is below the shard floor; lower it so the pool really runs.
-    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
+def test_parallel_enumeration_is_deterministic():
     serial = enumerate_isoclasses(4, 5, 2)
     for workers in (2, 3):
         parallel = enumerate_isoclasses(4, 5, 2, workers=workers)
@@ -319,6 +308,8 @@ def test_orbit_size_law_rejects_no_return_within_p_to_the_N():
 
 @pytest.mark.parametrize("n, p, N", [(3, 3, 3), (4, 5, 1), (2, 3, 4)])
 def test_range_count_is_independent_of_block_size(monkeypatch, n, p, N):
+    import maxclass.counting as counting
+
     total = p ** ((n - 1) * N)
     results = []
     for block in (1, 3, 4096):
