@@ -28,7 +28,10 @@ reconcile them:
   a time: each block walks a few columns, which settles most of its
   rows, and the rows still walking are pooled across blocks and walked
   to the end together.  int64 is exact below 2^62 tails, and larger
-  runs are refused up front;
+  runs are refused up front.  The tail indices split into k contiguous
+  shards, at most ``os.cpu_count()``: the calling process runs one and
+  k - 1 child processes run the rest, each sending its count and
+  census back over a pipe, and the shards merge by addition;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -52,9 +55,9 @@ term rather than only in total.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,11 +156,13 @@ def expected_census(n: int, p: int, N: int) -> dict[int, int]:
 def _lex_keys(cols, q: int):
     """Each column of ``cols`` as one integer that orders them lexicographically.
 
-    Row 0 (e_2) is the most significant digit base q; the keys are
-    below q^(n-1), the number of tails, so they are exact in int64.
+    Row 0 (e_2) is the most significant digit base q.  The last row
+    (e_n) is left out: it is the same in every column of a tail, so it
+    cannot change order or equality.  The keys are below q^(n-2) (q at
+    n = 2), fewer than the tails, so they are exact in int64.
     """
     keys = cols[0].copy()
-    for row in cols[1:]:
+    for row in cols[1:-1]:
         keys *= q
         keys += row
     return keys
@@ -269,11 +274,65 @@ def _shard_bounds(total_tails: int, workers: int) -> list[int]:
     """Split [0, total_tails) into at most workers and os.cpu_count() shards.
 
     Returns the boundaries b_0 = 0 < b_1 < ... < b_k = total_tails of
-    the k shards [b_i, b_{i+1}), so more workers than cores never means
-    more processes than cores, nor more processes than tails.
+    the k shards [b_i, b_{i+1}).  The calling process runs the first
+    shard and k - 1 child processes run the rest, so more workers than
+    cores never means more processes than cores, nor more processes
+    than tails.
     """
     shards = max(1, min(workers, total_tails, os.cpu_count() or 1))
     return [total_tails * i // shards for i in range(shards + 1)]
+
+
+def _shard_child(conn, n: int, p: int, N: int, lo: int, hi: int) -> None:
+    """Run shard [lo, hi) in a child process; send its result, or its exception."""
+    try:
+        message = _count_tail_range(n, p, N, lo, hi)
+    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
+        message = exc
+    conn.send(message)
+
+
+def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
+    """Each shard's (count, census), in shard order.
+
+    Every shard but the first runs in a child process started with the
+    default start method, which sends its result back over a one-way
+    pipe; the calling process runs the first shard meanwhile.  A
+    child's exception is re-raised here, and a child that ends without
+    sending raises an error naming its shard and exit code.  However
+    this returns or raises, no child is left running.
+    """
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            recv_end, send_end = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_shard_child, args=(send_end, n, p, N, lo, hi)
+            )
+            child.start()
+            send_end.close()
+            children.append((child, recv_end, lo, hi))
+        results = [_count_tail_range(n, p, N, bounds[0], bounds[1])]
+        for child, recv_end, lo, hi in children:
+            try:
+                message = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise MaxclassError(
+                    f"the process enumerating shard [{lo}, {hi}) ended with "
+                    f"exit code {child.exitcode} before sending its result"
+                ) from None
+            child.join()
+            if isinstance(message, BaseException):
+                raise message
+            results.append(message)
+        return results
+    finally:
+        for child, recv_end, _, _ in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            recv_end.close()
 
 
 def enumerate_isoclasses(
@@ -287,10 +346,12 @@ def enumerate_isoclasses(
 
     Keeps a tail iff it is irreducible and equals its own canonical
     (lex-least) orbit representative, so memory stays bounded by a few
-    blocks of tails and the tail space can be sharded across ``workers``
-    processes; the reduction is a plain sum, deterministic under any
-    sharding.  More tails than the budget, or ``MAX_TAILS`` = 2^62 or
-    more, are refused before any work starts.
+    blocks of tails and the tail space can be sharded: with k shards
+    (at most ``workers`` and ``os.cpu_count()``), the calling process
+    runs one and k - 1 child processes run the rest.  The reduction is
+    a plain sum, deterministic under any sharding.  More tails than the
+    budget, or ``MAX_TAILS`` = 2^62 or more, are refused before any
+    work starts.
     """
     validate_grid_point(n, p, N)
     budget = resolve_budget(budget)
@@ -312,14 +373,8 @@ def enumerate_isoclasses(
     else:
         count = 0
         census = {}
-        with ProcessPoolExecutor(max_workers=len(bounds) - 1) as pool:
-            jobs = [
-                pool.submit(_count_tail_range, n, p, N, lo, hi)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            for job in jobs:
-                c, cen = job.result()
-                count += c
-                for size, orbits in cen.items():
-                    census[size] = census.get(size, 0) + orbits
+        for c, cen in _fan_out(n, p, N, bounds):
+            count += c
+            for size, orbits in cen.items():
+                census[size] = census.get(size, 0) + orbits
     return CountReport(n, p, N, count, dict(sorted(census.items())))

@@ -128,7 +128,7 @@ def test_count_refuses_2_to_the_62_tails_or_more(capsys, monkeypatch):
         raise AssertionError("the enumeration started")
 
     monkeypatch.setattr(counting, "_count_tail_range", no_work)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(counting.multiprocessing, "Process", no_work)
     code, out, err = run_cli(
         capsys, "count", "--n", "2", "--p", "2", "--N", "70", "--budget", str(2**80)
     )

@@ -1,11 +1,14 @@
 import dataclasses
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxclass import cli, counting
 from maxclass.checks import iter_reps
 from maxclass.counting import (
     CountReport,
@@ -192,10 +195,76 @@ def test_against_brute_force_partition():
 
 
 def test_parallel_enumeration_is_deterministic():
-    serial = enumerate_isoclasses(4, 5, 2)
-    for workers in (2, 3):
-        parallel = enumerate_isoclasses(4, 5, 2, workers=workers)
-        assert parallel == serial
+    # Split two to four ways, each shard of (3,3,6) flushes its survivor
+    # pool three times or more; (2,5,5) never fills it.
+    for n, p, N in [(4, 5, 2), (3, 3, 5), (2, 5, 5), (3, 5, 3), (3, 3, 6)]:
+        serial = enumerate_isoclasses(n, p, N)
+        for workers in (2, 3, 4):
+            parallel = enumerate_isoclasses(n, p, N, workers=workers)
+            assert parallel == serial, (n, p, N, workers)
+            assert list(parallel.orbit_census.items()) == list(
+                serial.orbit_census.items()
+            )
+
+
+# The fault injections below reach the child shards through the patched
+# module global, which only a forked child inherits.  With workers=2 they
+# start one child, so two processes in all.
+fan_out_faults = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="needs the fork start method and two cores",
+)
+
+
+def _fault_at(monkeypatch, parent_fault, child_fault):
+    """Patch _count_tail_range: shard 0 (the caller's) and the others fail as given."""
+
+    def faulty(n, p, N, lo, hi):
+        return (parent_fault if lo == 0 else child_fault)()
+
+    monkeypatch.setattr(counting, "_count_tail_range", faulty)
+
+
+@fan_out_faults
+def test_child_shard_exception_is_reraised(monkeypatch, capsys):
+    def child_fault():
+        raise InternalCheckError("orbit size law violated in a child shard")
+
+    _fault_at(monkeypatch, lambda: (0, {}), child_fault)
+    with pytest.raises(InternalCheckError, match="^orbit size law violated in a child shard$"):
+        enumerate_isoclasses(3, 5, 2, workers=2)
+    assert multiprocessing.active_children() == []
+    code = cli.main(["count", "--n", "3", "--p", "5", "--N", "2", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "orbit size law violated in a child shard" in captured.err
+    assert multiprocessing.active_children() == []
+
+
+@fan_out_faults
+def test_child_that_dies_without_sending_is_named(monkeypatch):
+    _fault_at(monkeypatch, lambda: (0, {}), lambda: os._exit(3))
+    with pytest.raises(MaxclassError, match=r"shard \[312, 625\).*exit code 3"):
+        enumerate_isoclasses(3, 5, 2, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+@fan_out_faults
+@pytest.mark.parametrize("fault", [InternalCheckError, KeyboardInterrupt])
+def test_parent_shard_fault_stops_the_children(monkeypatch, fault):
+    def parent_fault():
+        raise fault("stop")
+
+    def child_fault():
+        time.sleep(60)
+
+    _fault_at(monkeypatch, parent_fault, child_fault)
+    start = time.monotonic()
+    with pytest.raises(fault, match="^stop$"):
+        enumerate_isoclasses(3, 5, 2, workers=2)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_report_structure():
