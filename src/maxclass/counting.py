@@ -297,7 +297,8 @@ def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
 
     Every shard but the first runs in a child process started with the
     default start method, which sends its result back over a one-way
-    pipe; the calling process runs the first shard meanwhile.  A
+    pipe; the calling process runs the first shard meanwhile.  One shard
+    starts no child.  A
     child's exception is re-raised here, and a child that ends without
     sending raises an error naming its shard and exit code.  However
     this returns or raises, no child is left running.
@@ -367,14 +368,10 @@ def enumerate_isoclasses(
         raise MaxclassError(
             f"{total_tails} tails: the enumeration is exact only below 2^62 tails"
         )
-    bounds = _shard_bounds(total_tails, workers)
-    if len(bounds) == 2:
-        count, census = _count_tail_range(n, p, N, 0, total_tails)
-    else:
-        count = 0
-        census = {}
-        for c, cen in _fan_out(n, p, N, bounds):
-            count += c
-            for size, orbits in cen.items():
-                census[size] = census.get(size, 0) + orbits
+    count = 0
+    census = {}
+    for c, cen in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
+        count += c
+        for size, orbits in cen.items():
+            census[size] = census.get(size, 0) + orbits
     return CountReport(n, p, N, count, dict(sorted(census.items())))

@@ -194,9 +194,11 @@ def test_against_brute_force_partition():
         assert (count, census) == (report.r_enumerated, report.orbit_census)
 
 
-def test_parallel_enumeration_is_deterministic():
+def test_parallel_enumeration_is_deterministic(monkeypatch):
     # Split two to four ways, each shard of (3,3,6) flushes its survivor
-    # pool three times or more; (2,5,5) never fills it.
+    # pool three times or more; (2,5,5) never fills it.  Four reported
+    # cores let workers=3 and 4 start two and three children on any host.
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
     for n, p, N in [(4, 5, 2), (3, 3, 5), (2, 5, 5), (3, 5, 3), (3, 3, 6)]:
         serial = enumerate_isoclasses(n, p, N)
         for workers in (2, 3, 4):
