@@ -332,8 +332,10 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
         q = p**N
         for rep in iter_reps(n, p, N):
             checked += 1
-            orbit = shift_orbit(rep)  # raises if the size law breaks
-            law_ok &= len(orbit) == p ** minimal_stable_index(rep, first_row=2)
+            try:
+                shift_orbit(rep)  # raises if the orbit size is not p^m
+            except InternalCheckError:
+                law_ok = False
             # The shifted specs get tables of their own, so the composition
             # is checked against a second, independent table.
             for a in (1, q // 2, q - 1):
@@ -431,7 +433,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             # Each residual is computed once, then read at every tolerance:
             # column 0 for the relations, column 1 + j for the j-th subspace.
             residuals = np.column_stack([
-                np.max([res for _, res in oracle.relation_residuals(c)], axis=0),
+                oracle.relation_residuals(c),
                 *(oracle.stability_residual(c, j) for j in range(N + 1))])
             verdicts = residuals <= oracle.DEFAULT_TOL
             relations_ok &= bool(verdicts[:, 0].all())

@@ -171,8 +171,7 @@ def cmd_count(args) -> int:
 
 def cmd_zeta(args) -> int:
     if args.series is not None and args.p is None:
-        print("error: --series needs --p", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--series needs --p")
     if args.series is not None:
         _refuse_unprintable_count(args.n, args.p, args.series)
     f = zeta.zeta_closed_form(args.n)
@@ -225,6 +224,7 @@ def cmd_table(args) -> int:
     budget = resolve_budget(args.budget)
     _refuse_unprintable_count(args.n, args.p, args.max_N)
     print("n\tp\tN\tr_enum\tr_closed\tr_series\tagree\terror")
+    disagreed = False
     for N in range(args.max_N + 1):
         cells: dict[str, int | None] = {}
         errors = []
@@ -248,20 +248,20 @@ def cmd_table(args) -> int:
         agree = "" if any(v is None for v in values) else (
             "yes" if len(set(values)) == 1 else "no"
         )
+        disagreed |= agree == "no"
         rendered = ["" if v is None else str(v) for v in values]
         print(
             f"{args.n}\t{args.p}\t{N}\t" + "\t".join(rendered)
             + f"\t{agree}\t{'; '.join(errors)}"
         )
-    return 0
+    return 1 if disagreed else 0
 
 
 def cmd_dump(args) -> int:
     try:
         exponents = tuple(int(x) for x in args.exponents.split(","))
     except ValueError:
-        print(f"error: malformed exponent list {args.exponents!r}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"malformed exponent list {args.exponents!r}") from None
     spec = EigenSpec(args.n, PrimePower(args.p, args.N), exponents)
     rep = build_rep(spec)
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))

@@ -25,9 +25,10 @@ over it, one value per spec.  A stack of S specs holds S n p^(2N)
 entries, so `checks.suite_oracle` realizes chunks of at most
 `checks._ORACLE_CHUNK` entries (or one spec), which bounds its memory.
 
-Each piece of floating-point work is done once: the orthonormal basis
-of each candidate subspace is cached per (p, N, j), and a caller reads
-each relation or stability residual at every tolerance.  The commutant
+Each piece of floating-point work is done once: a caller reads the
+relation residual and each stability residual at every tolerance, and
+a candidate subspace's orthonormal basis is one tile of an identity,
+cheap enough to build on every call.  The commutant
 needs no SVD: restricted to the cycle commutant, the stacked commutator
 operator has pairwise orthogonal columns, so its singular values are
 its column norms.  The SVD of that operator, built on
@@ -74,6 +75,11 @@ def _cycle_matrix(dim: int) -> np.ndarray:
     return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
 
 
+def _require_guard(dim: int) -> None:
+    if dim > DEFAULT_ORACLE_GUARD:
+        raise GuardExceededError(f"dim {dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}")
+
+
 def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
     """Turn exponent tables of one (n, p, N) into complex matrices.
 
@@ -84,8 +90,7 @@ def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
     single = isinstance(tables, StandardFormRep)
     first = tables if single else tables[0]
     dim = first.dim
-    if dim > DEFAULT_ORACLE_GUARD:
-        raise GuardExceededError(f"dim {dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}")
+    _require_guard(dim)
     rows = np.array(first.rows if single else [t.rows for t in tables], dtype=float)
     xs = np.zeros(rows.shape + (dim,), dtype=complex)
     xs[..., np.arange(dim), np.arange(dim)] = np.exp(2j * np.pi * rows / dim)
@@ -93,26 +98,25 @@ def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
     return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))
 
 
-def relation_residuals(c: ComplexRep) -> list[tuple[str, np.ndarray]]:
-    """Max-entry residual of every defining relation, one per spec.
+def relation_residuals(c: ComplexRep) -> np.ndarray:
+    """Per spec: the largest max-entry residual over every defining relation.
 
-    Diagonal unitaries invert by conjugation and y by transposition, so
-    the commutators are exact matrix products.
+    The relations are [x_i, y] = x_{i+1} for i < n, x_n central and x_n
+    scalar.  Diagonal unitaries invert by conjugation and y by
+    transposition, so the commutators are exact matrix products.
     """
     xs, y = c.xs, c.y
-    lower = xs[..., :-1, :, :]
-    gaps = np.abs(lower @ y @ lower.conj() @ y.T - xs[..., 1:, :, :]).max(axis=(-2, -1))
-    out = [(f"[x_{i}, y] = x_{i + 1}", gaps[..., i - 1]) for i in range(1, c.n)]
-    xn = xs[..., -1, :, :]
-    out.append((f"x_{c.n} central", np.abs(xn @ y - y @ xn).max(axis=(-2, -1))))
-    scalar = xn[..., :1, :1] * np.eye(c.dim)
-    out.append((f"x_{c.n} scalar", np.abs(xn - scalar).max(axis=(-2, -1))))
-    return out
+    lower, xn = xs[..., :-1, :, :], xs[..., -1, :, :]
+    return np.maximum.reduce([
+        np.abs(lower @ y @ lower.conj() @ y.T - xs[..., 1:, :, :]).max(axis=(-3, -2, -1)),
+        np.abs(xn @ y - y @ xn).max(axis=(-2, -1)),
+        np.abs(xn - xn[..., :1, :1] * np.eye(c.dim)).max(axis=(-2, -1)),
+    ])
 
 
 def check_relations(c: ComplexRep) -> np.ndarray:
     """Per spec: all defining relations hold to within c.tol."""
-    return np.all([res <= c.tol for _, res in relation_residuals(c)], axis=0)
+    return relation_residuals(c) <= c.tol
 
 
 def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> np.ndarray:
@@ -179,10 +183,7 @@ def commutant_dimension(c: ComplexRep) -> np.ndarray:
 
     A value of 1 certifies irreducibility.
     """
-    if c.dim > DEFAULT_ORACLE_GUARD:
-        raise GuardExceededError(
-            f"dim {c.dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}"
-        )
+    _require_guard(c.dim)
     sigmas = _commutant_singular_values(c)
     top = sigmas.max(axis=-1, keepdims=True)
     nullity = np.sum(sigmas < SV_THRESHOLD * top, axis=-1)
@@ -218,9 +219,8 @@ def mutual_eigenspace_census(c: ComplexRep) -> tuple[np.ndarray, np.ndarray]:
     return first.sum(axis=1).reshape(lead)[()], sizes.max(axis=1).reshape(lead)[()]
 
 
-@lru_cache(maxsize=None)
 def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
-    """Spanning vectors of the j-th candidate subspace, as read-only columns.
+    """Spanning vectors of the j-th candidate subspace, as columns.
 
     The seed vector is the sum of basis vectors 1, p^j + 1, 2 p^j + 1,
     ...; the cycle orbit of the seed closes after p^j steps, giving a
@@ -230,9 +230,7 @@ def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
     size p^(N-j), so dividing by sqrt(p^(N-j)) makes them orthonormal.
     """
     copies = p ** (N - j)
-    basis = np.tile(np.eye(p**j, dtype=complex), (copies, 1)) / np.sqrt(copies)
-    basis.setflags(write=False)
-    return basis
+    return np.tile(np.eye(p**j, dtype=complex), (copies, 1)) / np.sqrt(copies)
 
 
 def stability_residual(c: ComplexRep, j: int) -> np.ndarray:

@@ -120,8 +120,11 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.terms!r})"
 
 
-def _factor_poly(a: int, b: int) -> BivariatePolynomial:
-    return BivariatePolynomial({(0, 0): 1, (a, b): -1})
+def _times_factors(poly: BivariatePolynomial, factors) -> BivariatePolynomial:
+    """poly times (1 - p^a t^b) for each (a, b) of ``factors``, with multiplicity."""
+    for a, b in factors:
+        poly = poly * BivariatePolynomial({(0, 0): 1, (a, b): -1})
+    return poly
 
 
 def _swapped(poly: BivariatePolynomial) -> BivariatePolynomial:
@@ -223,10 +226,7 @@ class BivariateRationalFunction:
         return cls(BivariatePolynomial.monomial(value))
 
     def den_poly(self) -> BivariatePolynomial:
-        out = BivariatePolynomial.one()
-        for a, b in self.den_factors:
-            out = out * _factor_poly(a, b)
-        return out
+        return _times_factors(BivariatePolynomial.one(), self.den_factors)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariateRationalFunction):
@@ -241,14 +241,8 @@ class BivariateRationalFunction:
         mine = Counter(self.den_factors)
         theirs = Counter(other.den_factors)
         common = mine | theirs
-        left = self.num
-        for f, mult in (common - mine).items():
-            for _ in range(mult):
-                left = left * _factor_poly(*f)
-        right = other.num
-        for f, mult in (common - theirs).items():
-            for _ in range(mult):
-                right = right * _factor_poly(*f)
+        left = _times_factors(self.num, (common - mine).elements())
+        right = _times_factors(other.num, (common - theirs).elements())
         return BivariateRationalFunction(left + right, tuple(common.elements()))
 
     def __sub__(self, other: "BivariateRationalFunction") -> "BivariateRationalFunction":

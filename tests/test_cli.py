@@ -245,9 +245,10 @@ def test_zeta_abscissa_n6(capsys):
 
 
 def test_zeta_series_needs_p(capsys):
-    code, _, err = run_cli(capsys, "zeta", "--n", "3", "--series", "2")
+    code, out, err = run_cli(capsys, "zeta", "--n", "3", "--series", "2")
     assert code == 2
-    assert "--series needs --p" in err
+    assert out == ""
+    assert err == "error: --series needs --p\n"
 
 
 def test_zeta_json_schema(capsys):
@@ -294,6 +295,30 @@ def test_verify_all_matches_the_golden_transcript(capsys, golden, pin):
     assert code == 0
     assert err == ""
     assert out == (DATA_DIR / golden).read_text()
+
+
+def test_verify_all_reports_a_broken_orbit_law(capsys, monkeypatch):
+    # A size-law failure on one spec fails that property; every other
+    # suite still reports, and the run exits 1 rather than 2.
+    import maxclass.checks as checks
+    from maxclass.errors import InternalCheckError
+
+    shift_orbit = checks.shift_orbit
+
+    def broken_for_one_spec(rep):
+        if rep.spec.tail == (1, 1):
+            raise InternalCheckError("orbit size 1 != p^m = 9")
+        return shift_orbit(rep)
+
+    monkeypatch.setattr(checks, "shift_orbit", broken_for_one_spec)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--n", "3", "--p", "3", "--N", "2"
+    )
+    law = "orbits: orbit size = p^(restricted minimal stable index) (81 specs)"
+    golden = (DATA_DIR / "verify_3_3_2.txt").read_text()
+    assert code == 1
+    assert err == ""
+    assert out == golden.replace(f"[PASS] {law}", f"[FAIL] {law}").replace("36/36", "35/36")
 
 
 @pytest.mark.parametrize(
@@ -371,8 +396,8 @@ def test_verify_oracle_compares_verdicts_across_tolerances(capsys, monkeypatch, 
     stability_residual = oracle.stability_residual
     for nudge, broken in ((1e-10, []), (5e-9, [property_name])):
         if verdict == "check_relations":
-            monkeypatch.setattr(oracle, "relation_residuals", lambda c: [
-                (rel, res + nudge) for rel, res in relation_residuals(c)])
+            monkeypatch.setattr(oracle, "relation_residuals",
+                                lambda c: relation_residuals(c) + nudge)
         else:
             monkeypatch.setattr(oracle, "stability_residual",
                                 lambda c, j: stability_residual(c, j) + nudge)
@@ -558,6 +583,13 @@ def test_table_minimal_grid(capsys):
     assert lines[1].split("\t")[3:7] == ["1", "1", "1", "yes"]
 
 
+def test_table_exits_1_when_a_row_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "closed_form_count", lambda n, p, N: closed_form_count(n, p, N) + 1)
+    code, out, _ = run_cli(capsys, "table", "--n", "3", "--p", "5", "--max-N", "1")
+    assert code == 1
+    assert [line.split("\t")[6] for line in out.splitlines()[1:]] == ["no", "no"]
+
+
 def test_table_records_cell_errors(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--n", "3", "--p", "5", "--max-N", "2", "--budget", "20"
@@ -597,6 +629,15 @@ def test_dump_rejects_bad_exponents(capsys):
     )
     assert code == 2
     assert "e_1" in err
+
+
+def test_dump_rejects_a_malformed_exponent_list(capsys):
+    code, out, err = run_cli(
+        capsys, "dump", "--n", "3", "--p", "5", "--N", "1", "--exponents", "0,x"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed exponent list '0,x'\n"
 
 
 def test_module_entry_point():

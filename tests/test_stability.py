@@ -10,7 +10,7 @@ from maxclass.stability import (
     minimal_stable_index,
     restriction_monotone,
 )
-from maxclass.standard_form import EigenSpec, build_rep
+from maxclass.standard_form import EigenSpec, StandardFormRep, build_rep
 
 EXHAUSTIVE_GRID = [(2, 2, 4), (2, 3, 3), (3, 3, 2), (3, 5, 1), (4, 5, 1), (5, 5, 1)]
 
@@ -113,9 +113,17 @@ def test_shallow_specs_repeat_early():
             assert minimal_stable_index(rep) <= d
 
 
+def test_minimal_stable_index_rechecks_full_periodicity():
+    # Column 1 matches column 3, so the single comparison answers j = 1,
+    # but column 2 does not match column 4: the table is not 2-periodic.
+    rep = StandardFormRep(EigenSpec(2, PrimePower(2, 2), (0, 1)), ((0, 1, 0, 2), (1, 1, 1, 1)))
+    with pytest.raises(InternalCheckError, match="full periodicity failed"):
+        minimal_stable_index(rep)
+
+
 def test_full_periodicity_check_runs_without_assertions():
-    # minimal_stable_index calls this only under __debug__; calling it
-    # directly keeps the drift check tested under python -O as well.
+    # minimal_stable_index runs this drift check in every mode; calling
+    # it directly also pins the step-1 and drifted-column cases.
     periodic = [(0, 1), (1, 1), (0, 1), (1, 1)]
     _verify_full_periodicity(periodic, 2, 4)
     drifted = [(0, 1), (1, 1), (0, 1), (2, 1)]
