@@ -442,10 +442,8 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             structural = [is_irreducible_structural(rep) for rep in chunk]
             equiv_ok &= irreducible.tolist() == structural == [
                 is_irreducible_depth(rep.spec) for rep in chunk]
-            if irreducible.any():
-                eigenspaces, largest = oracle.mutual_eigenspace_census(
-                    oracle.ComplexRep(p, N, c.xs[irreducible], c.y))
-                census_ok &= bool(np.all(eigenspaces == q) and np.all(largest == 1))
+            eigenspaces, largest = oracle.mutual_eigenspace_census(c)
+            census_ok &= bool(np.all(((eigenspaces == q) & (largest == 1))[irreducible]))
             minimal = np.array([minimal_stable_index(rep) for rep in chunk])
             stable_ok &= np.array_equal(verdicts[:, 1:], np.arange(N + 1) >= minimal[:, None])
             shifted = oracle.realize(

@@ -26,7 +26,7 @@ import sys
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
 from .errors import MaxclassError
-from .rootlog import PrimePower
+from .rootlog import PrimePower, validate_grid_point
 from .standard_form import EigenSpec, build_rep
 from .zeta import count_from_series
 
@@ -170,9 +170,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.series is not None and args.p is None:
-        raise ValueError("--series needs --p")
     if args.series is not None:
+        if args.p is None:
+            raise ValueError("--series needs --p")
+        validate_grid_point(args.n, args.p, args.series)
         _refuse_unprintable_count(args.n, args.p, args.series)
     f = zeta.zeta_closed_form(args.n)
     factor = zeta.functional_equation_factor(args.n)

@@ -25,15 +25,17 @@ over it, one value per spec.  A stack of S specs holds S n p^(2N)
 entries, so `checks.suite_oracle` realizes chunks of at most
 `checks._ORACLE_CHUNK` entries (or one spec), which bounds its memory.
 
-Each piece of floating-point work is done once: a caller reads the
-relation residual and each stability residual at every tolerance, and
-a candidate subspace's orthonormal basis is one tile of an identity,
-cheap enough to build on every call.  The commutant
-needs no SVD: restricted to the cycle commutant, the stacked commutator
-operator has pairwise orthogonal columns, so its singular values are
-its column norms.  The SVD of that operator, built on
-`_cycle_commutant_basis`, lives only in the test suite, as a
-differential check of that fact.
+Each piece of floating-point work is done once per spec: a caller reads
+the relation residual and each stability residual at every tolerance,
+and judges the census only on the specs its one commutant call marks
+irreducible (the census itself takes no commutant).  Every verdict
+compares against `DEFAULT_TOL`, read when the check runs.  A candidate
+subspace's orthonormal basis is one tile of an identity, cheap enough
+to build on every call.  The commutant needs no SVD: restricted to the
+cycle commutant, the stacked commutator operator has pairwise
+orthogonal columns, so its singular values are its column norms.  The
+SVD of that operator, built on `_cycle_commutant_basis`, lives only in
+the test suite, as a differential check of that fact.
 """
 
 from __future__ import annotations
@@ -53,13 +55,12 @@ SV_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class ComplexRep:
-    """Stacked x_i of shape (..., n, dim, dim), the shared cycle y, a tolerance."""
+    """Stacked x_i of shape (..., n, dim, dim) and the shared cycle y."""
 
     p: int
     N: int
     xs: np.ndarray
     y: np.ndarray
-    tol: float = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -115,20 +116,20 @@ def relation_residuals(c: ComplexRep) -> np.ndarray:
 
 
 def check_relations(c: ComplexRep) -> np.ndarray:
-    """Per spec: all defining relations hold to within c.tol."""
-    return relation_residuals(c) <= c.tol
+    """Per spec: all defining relations hold to within DEFAULT_TOL."""
+    return relation_residuals(c) <= DEFAULT_TOL
 
 
 def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> np.ndarray:
     """Per spec: whether ``shifted`` is ``c`` conjugated by y, then twisted.
 
-    y^-1 x_i y must match x_i of ``shifted`` within c.tol for i >= 2;
+    y^-1 x_i y must match x_i of ``shifted`` within DEFAULT_TOL for i >= 2;
     x_1 may differ by one scalar, the twist that renormalizes e_1 to 0.
     """
     conjugated = c.y.T @ c.xs @ c.y  # y^-1 = y^T
     x1, target = conjugated[..., 0, :, :], shifted.xs[..., 0, :, :]
     x1 *= target[..., :1, :1] / x1[..., :1, :1]  # twists conjugated in place
-    return np.abs(conjugated - shifted.xs).max(axis=(-3, -2, -1)) <= c.tol
+    return np.abs(conjugated - shifted.xs).max(axis=(-3, -2, -1)) <= DEFAULT_TOL
 
 
 @lru_cache(maxsize=None)
@@ -195,17 +196,15 @@ def mutual_eigenspace_census(c: ComplexRep) -> tuple[np.ndarray, np.ndarray]:
 
     Basis vectors are grouped by their joint eigenvalue signature across
     x_1..x_n, two signatures counting as equal when every component is
-    within c.tol.  Each vector joins the first class whose first member
-    is that close to it, or starts a new class.  Requires irreducible
-    inputs (checked through the commutant); the expected answer is then
-    (p^N, 1).
+    within DEFAULT_TOL.  Each vector joins the first class whose first
+    member is that close to it, or starts a new class.  An irreducible
+    spec gives (p^N, 1); a reducible one gets its census too, and the
+    caller, which knows the commutant, decides which specs to judge.
     """
-    if np.any(commutant_dimension(c) != 1):
-        raise ValueError("mutual eigenspace census expects an irreducible input")
     sigs = np.diagonal(c.xs, axis1=-2, axis2=-1)  # (..., n, dim)
     lead = sigs.shape[:-2]
     sigs = sigs.reshape(-1, c.n, c.dim)
-    close = np.max(np.abs(sigs[..., :, None] - sigs[..., None, :]), axis=1) <= c.tol
+    close = np.max(np.abs(sigs[..., :, None] - sigs[..., None, :]), axis=1) <= DEFAULT_TOL
     # first[s, j]: vector j starts a class of spec s; sizes by first member.
     first = np.zeros(close.shape[:2], dtype=bool)
     sizes = np.zeros(close.shape[:2], dtype=int)
@@ -249,4 +248,4 @@ def stability_residual(c: ComplexRep, j: int) -> np.ndarray:
 
 def subspace_is_stable(c: ComplexRep, j: int) -> np.ndarray:
     """Per spec: every generator maps the j-th candidate subspace into itself."""
-    return stability_residual(c, j) <= c.tol
+    return stability_residual(c, j) <= DEFAULT_TOL

@@ -96,7 +96,6 @@ class StandardFormRep:
 
     spec: EigenSpec
     rows: tuple[tuple[int, ...], ...]
-    y_scalar: int = 1
 
     @property
     def n(self) -> int:
@@ -129,7 +128,7 @@ class StandardFormRep:
             "dim": self.dim,
             "exponents": list(self.spec.exponents),
             "rows": [list(row) for row in self.rows],
-            "y_scalar": self.y_scalar,
+            "y_scalar": 1,
         }
 
 

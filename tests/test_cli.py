@@ -3,11 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from maxclass import cli
+from maxclass import cli, counting
 from maxclass.cli import main
 from maxclass.counting import closed_form_count
 from maxclass.errors import MaxclassError
@@ -62,12 +63,12 @@ def test_count_json_schema(capsys):
     "n, p, message", [(3, 4, "p=4 is not prime"), (5, 3, "exceptional prime p=3 < n=5")]
 )
 def test_count_series_refuses_bad_input(capsys, n, p, message):
-    code, out, err = run_cli(
-        capsys, "count", "--n", str(n), "--p", str(p), "--N", "2", "--method", "series"
-    )
-    assert code == 2
-    assert out == ""
-    assert message in err
+    # `zeta --series` checks its input the same way.
+    for argv in (["count", "--N", "2", "--method", "series"], ["zeta", "--series", "2"]):
+        code, out, err = run_cli(capsys, *argv, "--n", str(n), "--p", str(p))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def fail_if_called(*args, **kwargs):
@@ -434,6 +435,34 @@ def test_verify_oracle_catches_one_bad_spec_in_a_stack(capsys, monkeypatch):
     assert "[FAIL] matrix relations hold numerically (81 specs)" in out
 
 
+@pytest.mark.parametrize("irreducible_row, code", [(True, 1), (False, 0)])
+def test_verify_oracle_judges_the_census_on_irreducible_specs(
+    capsys, monkeypatch, irreducible_row, code
+):
+    # One spec of a stack reports two basis vectors in one joint
+    # eigenspace: a failure on an irreducible spec, noise on a reducible one.
+    import maxclass.oracle as oracle
+
+    census = oracle.mutual_eigenspace_census
+    doctored = []
+
+    def merged(c):
+        eigenspaces, largest = census(c)
+        rows = np.flatnonzero((oracle.commutant_dimension(c) == 1) == irreducible_row)
+        if not doctored and rows.size:
+            doctored.append(rows[0])
+            eigenspaces[rows[0]], largest[rows[0]] = c.dim - 1, 2
+        return eigenspaces, largest
+
+    monkeypatch.setattr(oracle, "mutual_eigenspace_census", merged)
+    got, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "3", "--N", "2"
+    )
+    assert doctored and got == code
+    assert out.count("[FAIL]") == code
+    assert ("[FAIL] joint eigenspace census is (p^N, 1) on irreducibles" in out) == bool(code)
+
+
 def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "5", "--p", "3", "--N", "1"
@@ -638,6 +667,16 @@ def test_dump_rejects_a_malformed_exponent_list(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: malformed exponent list '0,x'\n"
+
+
+def test_every_command_matches_its_golden_output(capsys, monkeypatch):
+    # Recorded on a tree where the three counting methods agree.  Each
+    # count runs serially and split in two, with two cores reported.
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    for entry in json.loads((DATA_DIR / "cli_golden.json").read_text()):
+        argv, expected = entry["argv"], (entry["code"], entry["stdout"], entry["stderr"])
+        for threads in (["--threads", "1"], ["--threads", "2"]) if argv[0] == "count" else ([],):
+            assert run_cli(capsys, *argv, *threads) == expected, argv + threads
 
 
 def test_module_entry_point():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from maxclass import checks, oracle
 from maxclass.checks import ORACLE_GRID, iter_reps
 from maxclass.errors import GuardExceededError
 from maxclass.oracle import (
+    DEFAULT_TOL,
     SV_THRESHOLD,
     ComplexRep,
     check_relations,
@@ -17,6 +17,7 @@ from maxclass.oracle import (
     realize,
     realizes_unit_shift,
     relation_residuals,
+    stability_residual,
     subspace_is_stable,
 )
 from maxclass.orbits import shift_spec
@@ -73,7 +74,7 @@ def test_relations_fail_on_corruption():
     c = realize(rep)
     xs = c.xs.copy()
     xs[0, 2, 2] *= np.exp(0.3j)
-    corrupted = ComplexRep(c.p, c.N, xs, c.y, c.tol)
+    corrupted = ComplexRep(c.p, c.N, xs, c.y)
     assert not check_relations(corrupted)
     assert check_relations(c)
 
@@ -162,9 +163,9 @@ def test_eigenspace_census():
     assert mutual_eigenspace_census(c2) == (3, 1)
     c3 = realize(build_rep(EigenSpec(2, PrimePower(2, 1), (0, 1))))
     assert mutual_eigenspace_census(c3) == (2, 1)
+    # x_i = I: one joint eigenspace, the whole space.
     trivial = realize(build_rep(EigenSpec(3, PrimePower(5, 1), (0, 0, 0))))
-    with pytest.raises(ValueError):
-        mutual_eigenspace_census(trivial)
+    assert mutual_eigenspace_census(trivial) == (1, 5)
 
 
 def test_eigenspace_census_exhaustive():
@@ -196,15 +197,12 @@ def test_subspace_agrees_with_minimal_index():
 
 
 def test_verdicts_stable_under_tolerance():
+    # No residual lies in (1e-11, 1e-7], so every tolerance in that range
+    # reads the same verdict.
     for n, p, N in [(2, 3, 1), (3, 3, 1), (2, 2, 2)]:
-        for rep in iter_reps(n, p, N):
-            base = realize(rep)
-            for tol in (1e-11, 1e-7):
-                c = ComplexRep(base.p, base.N, base.xs, base.y, tol=tol)
-                assert check_relations(c) == check_relations(base)
-                for j in range(N + 1):
-                    assert subspace_is_stable(c, j) == subspace_is_stable(base, j)
-
+        c = realize(list(iter_reps(n, p, N)))
+        for residual in (relation_residuals(c), *(stability_residual(c, j) for j in range(N + 1))):
+            assert np.array_equal(residual <= 1e-11, residual <= 1e-7)
 
 
 # -- the stacked oracle ------------------------------------------------------
@@ -212,7 +210,8 @@ def test_verdicts_stable_under_tolerance():
 
 def _verdicts(c, shifted):
     """Every per-spec verdict the oracle suite reads: one row per spec."""
-    columns = [check_relations(c), commutant_dimension(c), realizes_unit_shift(c, shifted),
+    columns = [check_relations(c), commutant_dimension(c), *mutual_eigenspace_census(c),
+               realizes_unit_shift(c, shifted),
                *(subspace_is_stable(c, j) for j in range(c.N + 1))]
     return np.stack(columns, axis=-1).tolist()
 
@@ -224,26 +223,37 @@ def test_stack_of_one_agrees_with_the_whole_stack(n, p, N):
     c, shifted = realize(reps), realize(shifts)
     assert c.xs.shape == (len(reps), n, p**N, p**N)
     whole = _verdicts(c, shifted)
-    irreducible = commutant_dimension(c) == 1
-    eigenspaces, largest = mutual_eigenspace_census(
-        dataclasses.replace(c, xs=c.xs[irreducible]))
-    assert eigenspaces.tolist() == [p**N] * int(irreducible.sum())
-    assert largest.tolist() == [1] * int(irreducible.sum())
+    # Columns 1..3: commutant dimension, joint eigenspaces, largest one.
+    assert all(row[2:4] == [p**N, 1] for row in whole if row[1] == 1)
     for s, (rep, shift) in enumerate(zip(reps, shifts)):
         assert _verdicts(realize([rep]), realize([shift])) == [whole[s]]
         # A single table is the unstacked case of the same functions.
         single = realize(rep)
         assert np.array_equal(single.xs, c.xs[s])
         assert _verdicts(single, realize(shift)) == whole[s]
-        if irreducible[s]:
-            assert mutual_eigenspace_census(single) == (p**N, 1)
 
 
-def test_census_refuses_a_stack_with_one_reducible_spec():
+def test_a_mixed_stack_gets_one_census_per_spec():
     reps = [build_rep(EigenSpec(3, PrimePower(5, 1), e)) for e in ((0, 0, 1), (0, 0, 0))]
-    assert commutant_dimension(realize(reps)).tolist() == [1, 5]
-    with pytest.raises(ValueError):
-        mutual_eigenspace_census(realize(reps))
+    c = realize(reps)
+    assert commutant_dimension(c).tolist() == [1, 5]
+    eigenspaces, largest = mutual_eigenspace_census(c)
+    assert list(zip(eigenspaces.tolist(), largest.tolist())) == [(5, 1), (1, 5)]
+
+
+def test_oracle_suite_takes_each_commutant_once(monkeypatch):
+    # One commutant per spec: the census reuses the suite's verdict
+    # instead of re-deriving irreducibility.
+    specs = []
+    singular_values = oracle._commutant_singular_values
+
+    def counted(c):
+        specs.append(len(c.xs))
+        return singular_values(c)
+
+    monkeypatch.setattr(oracle, "_commutant_singular_values", counted)
+    assert all(r.passed for r in checks.suite_oracle([(3, 3, 2)]))
+    assert sum(specs) == 81
 
 
 def _suite_at(monkeypatch, chunk, grid):
@@ -281,9 +291,9 @@ def test_oracle_suite_stacks_stay_under_the_chunk(monkeypatch):
 def _census_loop(c):
     """Reference census of one unstacked spec: the first-member rule as a loop."""
     sigs = np.stack([np.diag(x) for x in c.xs], axis=1)  # dim x n
-    firsts, sizes = [], []
+    firsts, sizes, tol = [], [], oracle.DEFAULT_TOL
     for j in range(c.dim):
-        hits = [k for k, f in enumerate(firsts) if np.max(np.abs(sigs[f] - sigs[j])) <= c.tol]
+        hits = [k for k, f in enumerate(firsts) if np.max(np.abs(sigs[f] - sigs[j])) <= tol]
         if hits:
             sizes[hits[0]] += 1
         else:
@@ -292,16 +302,16 @@ def _census_loop(c):
     return len(firsts), max(sizes)
 
 
-@pytest.mark.parametrize("tol", [oracle.DEFAULT_TOL, 0.8, 1.2, 1.9])
-def test_census_matches_the_first_member_loop(tol):
-    # Loose tolerances merge nearby signatures, so the classes are uneven.
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.8, 1.2, 1.9])
+def test_census_matches_the_first_member_loop(monkeypatch, tol):
+    # Loose tolerances merge nearby signatures of irreducible specs too,
+    # so their classes are uneven.
+    monkeypatch.setattr(oracle, "DEFAULT_TOL", tol)
     seen = set()
     for n, p, N in ORACLE_GRID:
         c = realize(list(iter_reps(n, p, N)))
-        irreducible = ComplexRep(p, N, c.xs[commutant_dimension(c) == 1], c.y, tol=tol)
-        eigenspaces, largest = mutual_eigenspace_census(irreducible)
+        eigenspaces, largest = mutual_eigenspace_census(c)
         got = list(zip(eigenspaces.tolist(), largest.tolist()))
-        want = [_census_loop(ComplexRep(p, N, xs, c.y, tol=tol)) for xs in irreducible.xs]
-        assert got == want
-        seen.update(got)
-    assert len(seen) > 1 or tol == oracle.DEFAULT_TOL
+        assert got == [_census_loop(ComplexRep(p, N, xs, c.y)) for xs in c.xs]
+        seen.update(census for census, dim in zip(got, commutant_dimension(c)) if dim == 1)
+    assert len(seen) > 1 or tol == DEFAULT_TOL

@@ -56,7 +56,6 @@ def test_worked_example_table():
     rep = build_rep(spec)
     assert rep.rows == ((0, 2, 0, 4, 4), (1, 2, 3, 4, 0), (1, 1, 1, 1, 1))
     assert rep.entry(1, 1) == (rep.entry(2, 1) + rep.entry(1, 5)) % 5
-    assert rep.y_scalar == 1
 
 
 def test_two_generator_row_is_arithmetic():
