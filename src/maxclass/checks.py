@@ -473,21 +473,31 @@ SUITES = {
 
 
 def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
-    """Run one suite (or "all"), optionally pinned to a single grid point."""
+    """Run one suite (or "all"), optionally pinned to a single grid point.
+
+    A suite that raises ``InternalCheckError`` has found a broken
+    identity, not bad input: it reports as one failed property
+    "<suite>: <message>", and the other suites still run.  Every other
+    error, the input refusals among them, propagates.
+    """
     pins = sum(v is not None for v in (n, p, N))
     if pins not in (0, 3):
         raise ValueError("pin a suite with all of --n, --p and --N, or none")
     grid = [(n, p, N)] if pins else None
-    if name == "all":
-        results = []
-        for key in ("simplex", "rootlog", "standardform", "stability", "orbits",
-                    "counting", "zeta", "oracle"):
-            results.extend(
-                PropertyResult(f"{key}: {r.name}", r.passed, r.detail)
-                for r in SUITES[key](grid)
-            )
-        return results
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{sorted(SUITES)} or 'all'")
-    return SUITES[name](grid)
+    keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
+             "counting", "zeta", "oracle") if name == "all" else (name,))
+    results = []
+    for key in keys:
+        try:
+            part = SUITES[key](grid)
+        except InternalCheckError as exc:
+            results.append(PropertyResult(f"{key}: {exc}", False))
+            continue
+        results.extend(
+            PropertyResult(f"{key}: {r.name}", r.passed, r.detail) if name == "all" else r
+            for r in part
+        )
+    return results

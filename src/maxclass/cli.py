@@ -25,7 +25,7 @@ import sys
 
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
-from .errors import MaxclassError
+from .errors import ExceptionalPrimeError, MaxclassError
 from .rootlog import PrimePower, validate_grid_point
 from .standard_form import EigenSpec, build_rep
 from .zeta import count_from_series
@@ -222,6 +222,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    try:
+        validate_grid_point(args.n, args.p, args.max_N)
+    except ExceptionalPrimeError:
+        pass  # p < n fails cell by cell, each with its method's message
     budget = resolve_budget(args.budget)
     _refuse_unprintable_count(args.n, args.p, args.max_N)
     print("n\tp\tN\tr_enum\tr_closed\tr_series\tagree\terror")

@@ -29,9 +29,11 @@ reconcile them:
   rows, and the rows still walking are pooled across blocks and walked
   to the end together.  int64 is exact below 2^62 tails, and larger
   runs are refused up front.  The tail indices split into k contiguous
-  shards, at most ``os.cpu_count()``: the calling process runs one and
-  k - 1 child processes run the rest, each sending its count and
-  census back over a pipe, and the shards merge by addition;
+  shards, at most ``os.cpu_count()`` and each of at least
+  ``_MIN_SHARD_TAILS`` = 2^16 tails, so that a child's work repays its
+  start: the calling process runs one and k - 1 child processes run
+  the rest, each sending its count and census back over a pipe, and
+  the shards merge by addition;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -75,6 +77,10 @@ MAX_TAILS = 2**62
 _BLOCK = 4096
 # Columns each block walks before its unsettled rows join the survivor pool.
 _EARLY_STEPS = 8
+# Tails each shard must hold.  On a 2-vCPU host with Python 3.11, starting
+# a child costs about 5 ms and a tail 0.34-0.65 us, so a 2^16-tail shard's
+# work is 4-8 times its start.
+_MIN_SHARD_TAILS = 2**16
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -276,10 +282,11 @@ def _shard_bounds(total_tails: int, workers: int) -> list[int]:
     Returns the boundaries b_0 = 0 < b_1 < ... < b_k = total_tails of
     the k shards [b_i, b_{i+1}).  The calling process runs the first
     shard and k - 1 child processes run the rest, so more workers than
-    cores never means more processes than cores, nor more processes
-    than tails.
+    cores never means more processes than cores.  Every shard holds at
+    least ``_MIN_SHARD_TAILS`` tails, so a second process starts only
+    from 2 * _MIN_SHARD_TAILS tails, and a smaller run is one shard.
     """
-    shards = max(1, min(workers, total_tails, os.cpu_count() or 1))
+    shards = max(1, min(workers, os.cpu_count() or 1, total_tails // _MIN_SHARD_TAILS))
     return [total_tails * i // shards for i in range(shards + 1)]
 
 
@@ -348,8 +355,9 @@ def enumerate_isoclasses(
     Keeps a tail iff it is irreducible and equals its own canonical
     (lex-least) orbit representative, so memory stays bounded by a few
     blocks of tails and the tail space can be sharded: with k shards
-    (at most ``workers`` and ``os.cpu_count()``), the calling process
-    runs one and k - 1 child processes run the rest.  The reduction is
+    (at most ``workers`` and ``os.cpu_count()``, each of at least
+    ``_MIN_SHARD_TAILS`` tails), the calling process runs one and
+    k - 1 child processes run the rest.  The reduction is
     a plain sum, deterministic under any sharding.  More tails than the
     budget, or ``MAX_TAILS`` = 2^62 or more, are refused before any
     work starts.

@@ -152,6 +152,20 @@ def test_count_nonprime(capsys):
     assert "not prime" in err
 
 
+@pytest.mark.parametrize("n, p, N", [(2, 5, 5), (2, 7, 4), (2, 3, 7), (4, 7, 2)])
+def test_count_below_the_shard_floor_starts_no_process(capsys, monkeypatch, n, p, N):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a shard process was started")
+
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting.multiprocessing, "Process", no_process)
+    code, out, err = run_cli(
+        capsys, "count", "--n", str(n), "--p", str(p), "--N", str(N), "--threads", "2"
+    )
+    assert code == 0, err
+    assert "agreement: yes" in out
+
+
 def test_count_threads_consistent(capsys):
     code1, out1, _ = run_cli(capsys, "count", "--n", "4", "--p", "5", "--N", "2")
     code2, out2, _ = run_cli(
@@ -320,6 +334,39 @@ def test_verify_all_reports_a_broken_orbit_law(capsys, monkeypatch):
     assert code == 1
     assert err == ""
     assert out == golden.replace(f"[PASS] {law}", f"[FAIL] {law}").replace("36/36", "35/36")
+
+
+def test_verify_reports_a_suite_that_raises_as_one_failure(capsys, monkeypatch):
+    # An internal check raised inside a suite fails that suite in one line
+    # carrying the message; the other suites still report, and the run
+    # exits 1 rather than 2.  Stability and oracle both read the index.
+    import maxclass.checks as checks
+    from maxclass.errors import InternalCheckError
+
+    def drifted(rep, first_row=1):
+        raise InternalCheckError("minimal stable index drifted")
+
+    monkeypatch.setattr(checks, "minimal_stable_index", drifted)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--n", "3", "--p", "3", "--N", "2"
+    )
+    expected = []
+    for line in (DATA_DIR / "verify_3_3_2.txt").read_text().splitlines()[:-1]:
+        suite = line.split()[1]
+        if suite in ("stability:", "oracle:"):
+            line = f"[FAIL] {suite} minimal stable index drifted"
+            if line in expected:
+                continue
+        expected.append(line)
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == expected + ["26/28 properties passed"]
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "stability", "--n", "3", "--p", "3", "--N", "2"
+    )
+    assert (code, out, err) == (
+        1, "[FAIL] stability: minimal stable index drifted\n0/1 properties passed\n", ""
+    )
 
 
 @pytest.mark.parametrize(
@@ -631,6 +678,16 @@ def test_table_records_cell_errors(capsys):
     assert "budget" in last[7]
 
 
+@pytest.mark.parametrize(
+    "n, p, message", [(3, 4, "p=4 is not prime"), (1, 5, "the group family starts at n = 2")]
+)
+def test_table_refuses_input_no_cell_can_take(capsys, n, p, message):
+    code, out, err = run_cli(capsys, "table", "--n", str(n), "--p", str(p), "--max-N", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_table_series_cells_refuse_an_exceptional_prime(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "5", "--p", "3", "--max-N", "1")
     assert code == 0
@@ -671,8 +728,10 @@ def test_dump_rejects_a_malformed_exponent_list(capsys):
 
 def test_every_command_matches_its_golden_output(capsys, monkeypatch):
     # Recorded on a tree where the three counting methods agree.  Each
-    # count runs serially and split in two, with two cores reported.
+    # count runs serially and split in two, with two cores reported and
+    # a shard floor of one tail, so every point starts a child.
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
     for entry in json.loads((DATA_DIR / "cli_golden.json").read_text()):
         argv, expected = entry["argv"], (entry["code"], entry["stdout"], entry["stderr"])
         for threads in (["--threads", "1"], ["--threads", "2"]) if argv[0] == "count" else ([],):

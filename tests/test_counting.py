@@ -144,6 +144,15 @@ def test_shard_count_is_capped(monkeypatch, cpus):
     assert len(_shard_bounds(15625, workers=1)) == 2
 
 
+def test_shard_floor_starts_a_second_process_only_from_two_floors(monkeypatch):
+    floor = counting._MIN_SHARD_TAILS
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _shard_bounds(2 * floor - 1, workers=2) == [0, 2 * floor - 1]
+    assert _shard_bounds(2 * floor, workers=2) == [0, floor, 2 * floor]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert len(_shard_bounds(4 * floor, workers=10_000)) - 1 == 3
+
+
 def test_triple_agreement_on_grid():
     for n, p, N in GRID:
         report = enumerate_isoclasses(n, p, N)
@@ -197,8 +206,10 @@ def test_against_brute_force_partition():
 def test_parallel_enumeration_is_deterministic(monkeypatch):
     # Split two to four ways, each shard of (3,3,6) flushes its survivor
     # pool three times or more; (2,5,5) never fills it.  Four reported
-    # cores let workers=3 and 4 start two and three children on any host.
+    # cores and a shard floor of one tail let workers=3 and 4 start two
+    # and three children on any host, at every point.
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
     for n, p, N in [(4, 5, 2), (3, 3, 5), (2, 5, 5), (3, 5, 3), (3, 3, 6)]:
         serial = enumerate_isoclasses(n, p, N)
         for workers in (2, 3, 4):
@@ -210,8 +221,8 @@ def test_parallel_enumeration_is_deterministic(monkeypatch):
 
 
 # The fault injections below reach the child shards through the patched
-# module global, which only a forked child inherits.  With workers=2 they
-# start one child, so two processes in all.
+# module global, which only a forked child inherits.  With workers=2 and
+# a shard floor of one tail they start one child, so two processes in all.
 fan_out_faults = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
     reason="needs the fork start method and two cores",
@@ -220,6 +231,7 @@ fan_out_faults = pytest.mark.skipif(
 
 def _fault_at(monkeypatch, parent_fault, child_fault):
     """Patch _count_tail_range: shard 0 (the caller's) and the others fail as given."""
+    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
 
     def faulty(n, p, N, lo, hi):
         return (parent_fault if lo == 0 else child_fault)()
