@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
-from .errors import BudgetExceededError, InternalCheckError
+from .errors import BudgetExceededError, ExceptionalPrimeError, InternalCheckError
 from .orbits import shift_orbit, shift_spec
 from .rootlog import PrimePower, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
@@ -280,8 +280,6 @@ def suite_stability(grid=None) -> list[PropertyResult]:
         for rep in iter_reps(n, p, N):
             spec = rep.spec
             checked += 1
-            if p >= n:
-                equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
             cols = rep.columns()
             # equal columns have equal successors iff each column has one successor
             successor = {}
@@ -289,15 +287,13 @@ def suite_stability(grid=None) -> list[PropertyResult]:
                 successor.setdefault(cols[c], cols[(c + 1) % q]) == cols[(c + 1) % q]
                 for c in range(q)
             )
-            if n > 2:
-                mono_ok &= all(restriction_monotone(rep, k) for k in range(2, n))
+            mono_ok &= restriction_monotone(rep)
             if p >= n:
+                equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
                 max_depth = spec.max_tail_depth()
                 if max_depth < N:
                     step = p**max_depth
-                    period_ok &= all(
-                        cols[c] == cols[(c + step) % q] for c in range(q)
-                    )
+                    period_ok &= all(cols[c] == cols[(c + step) % q] for c in range(q))
                     period_ok &= minimal_stable_index(rep) <= max_depth
     return [
         PropertyResult(
@@ -316,9 +312,8 @@ def suite_stability(grid=None) -> list[PropertyResult]:
 
 def _depth_case(spec: EigenSpec) -> tuple[int, int]:
     p, N = spec.pp.p, spec.pp.N
-    depths = [depth_of(e, p, N) for e in spec.tail]
-    beyond = max(depths[1:], default=0)
-    return max(depths), beyond
+    beyond = max((depth_of(e, p, N) for e in spec.tail[1:]), default=0)
+    return spec.max_tail_depth(), beyond
 
 
 def suite_orbits(grid=None) -> list[PropertyResult]:
@@ -338,14 +333,15 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
                 law_ok = False
             # The shifted specs get tables of their own, so the composition
             # is checked against a second, independent table.
-            for a in (1, q // 2, q - 1):
-                lhs = shift_spec(build_rep(shift_spec(rep, a), validate=False), 1)
-                compose_ok &= lhs == shift_spec(rep, (a + 1) % q)
+            shifted = {a: build_rep(shift_spec(rep, a), validate=False)
+                       for a in {1, q // 2, q - 1}}
+            for a, table in shifted.items():
+                compose_ok &= shift_spec(table, 1) == shift_spec(rep, (a + 1) % q)
             if p >= n:
                 # The one-step shift walks each orbit round, and every spec
                 # of the orbit is in the grid, so a verdict that matches its
                 # successor's on every spec is constant on every orbit.
-                nxt = build_rep(shift_spec(rep, 1), validate=False)
+                nxt = shifted[1]
                 irr_ok &= is_irreducible_structural(rep) == is_irreducible_structural(nxt)
                 case_ok &= _depth_case(rep.spec) == _depth_case(nxt.spec)
     return [
@@ -475,10 +471,12 @@ SUITES = {
 def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     """Run one suite (or "all"), optionally pinned to a single grid point.
 
-    A suite that raises ``InternalCheckError`` has found a broken
-    identity, not bad input: it reports as one failed property
-    "<suite>: <message>", and the other suites still run.  Every other
-    error, the input refusals among them, propagates.
+    A pinned n < 2 or non-prime p is refused before any suite runs; an
+    exceptional prime p < n reaches the suites.  A suite that raises
+    ``InternalCheckError`` has found a broken identity, not bad input:
+    it reports as one failed property "<suite>: <message>", and the
+    other suites still run.  Every other error, the input refusals among
+    them, propagates.
     """
     pins = sum(v is not None for v in (n, p, N))
     if pins not in (0, 3):
@@ -487,6 +485,11 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{sorted(SUITES)} or 'all'")
+    if pins:
+        try:
+            validate_grid_point(n, p, N)
+        except ExceptionalPrimeError:
+            pass  # each suite that takes a grid refuses p < n or runs there
     keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
              "counting", "zeta", "oracle") if name == "all" else (name,))
     results = []

@@ -92,8 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n", type=_positive_int, required=True)
     table.add_argument("--p", type=_positive_int, required=True)
     table.add_argument("--max-N", dest="max_N", type=_nonneg_int, required=True)
-    table.add_argument("--budget", type=_positive_int, default=None)
-    table.add_argument("--threads", type=_positive_int, default=1)
+    table.add_argument("--budget", type=_positive_int, default=None,
+                       help="enumeration budget (default MAXCLASS_BUDGET or 10^8)")
+    table.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker processes for the enumeration")
 
     dump = sub.add_parser("dump", help="standard-form exponent table as JSON")
     dump.add_argument("--n", type=_positive_int, required=True)

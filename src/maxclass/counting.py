@@ -305,10 +305,9 @@ def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
     Every shard but the first runs in a child process started with the
     default start method, which sends its result back over a one-way
     pipe; the calling process runs the first shard meanwhile.  One shard
-    starts no child.  A
-    child's exception is re-raised here, and a child that ends without
-    sending raises an error naming its shard and exit code.  However
-    this returns or raises, no child is left running.
+    starts no child.  A child's exception is re-raised here, and a child
+    that ends without sending raises an error naming its shard and exit
+    code.  However this returns or raises, no child is left running.
     """
     children = []
     try:

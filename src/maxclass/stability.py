@@ -79,16 +79,12 @@ def is_irreducible_depth(spec: EigenSpec) -> bool:
     return any(e % p != 0 for e in spec.tail)
 
 
-def restriction_monotone(rep: StandardFormRep, k: int) -> bool:
-    """Minimal stable index of the whole table >= that of rows n-k+1..n.
+def restriction_monotone(rep: StandardFormRep) -> bool:
+    """Minimal stable index never rises along rows r..n, r = 1..n-1.
 
-    Restricting to the subgroup generated by the last k of the a_i (and
-    b) drops components from every column tuple, so columns can only
-    become *more* equal; exposed as a predicate and expected always
-    true.
+    Restricting to the subgroup generated by a_r, ..., a_n, b drops
+    components from every column tuple, so columns can only become
+    *more* equal; exposed as a predicate and expected always true.
     """
-    if not 2 <= k < rep.n:
-        raise ValueError(f"k must lie in [2, {rep.n - 1}]")
-    full = minimal_stable_index(rep, 1)
-    restricted = minimal_stable_index(rep, rep.n - k + 1)
-    return full >= restricted
+    chain = [minimal_stable_index(rep, r) for r in range(1, rep.n)]
+    return all(a >= b for a, b in zip(chain, chain[1:]))

@@ -370,7 +370,7 @@ def test_verify_reports_a_suite_that_raises_as_one_failure(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "suite, per_spec", [("standardform", 1), ("stability", 1), ("orbits", 5), ("oracle", 2)]
+    "suite, per_spec", [("standardform", 1), ("stability", 1), ("orbits", 4), ("oracle", 2)]
 )
 def test_verify_builds_few_tables_per_spec(monkeypatch, suite, per_spec):
     import maxclass.checks as checks
@@ -389,11 +389,8 @@ def test_verify_builds_few_tables_per_spec(monkeypatch, suite, per_spec):
             monkeypatch.setattr(module, "build_rep", counted)
     results = checks.run_suite(suite, 3, 3, 2)
     assert all(r.passed for r in results)
-    specs = 3 ** (2 * 2)
-    if suite == "orbits":
-        assert len(builds) <= per_spec * specs
-    else:
-        assert len(builds) == per_spec * specs
+    # orbits: its own table and one per shift offset 1, q // 2 = 4, q - 1 = 8.
+    assert len(builds) == per_spec * 3 ** (2 * 2)
 
 
 def test_verify_oracle_catches_a_shift_that_skips_columns(capsys, monkeypatch):
@@ -539,6 +536,34 @@ def test_verify_refuses_a_partial_pin(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "pin a suite with all of --n, --p and --N, or none" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simplex", "--n", "3", "--p", "4", "--N", "1"], "p=4 is not prime"),
+        (["zeta", "--n", "3", "--p", "4", "--N", "1"], "p=4 is not prime"),
+        (["rootlog", "--n", "1", "--p", "5", "--N", "1"], "the group family starts at n = 2"),
+        (["stability", "--n", "1", "--p", "4", "--N", "1"], "the group family starts at n = 2"),
+        (["all", "--n", "3", "--p", "6", "--N", "1"], "p=6 is not prime"),
+    ],
+)
+def test_verify_refuses_an_invalid_pin_before_any_suite(capsys, monkeypatch, argv, message):
+    import maxclass.checks as checks
+
+    def no_suite(grid=None):
+        raise AssertionError("a suite ran on an invalid pin")
+
+    for key in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, key, no_suite)
+    assert run_cli(capsys, "verify", "--suite", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ["simplex", "zeta", "rootlog"])
+def test_verify_gridless_suites_run_at_an_exceptional_prime(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "5", "--p", "3", "--N", "1")
+    assert code == 0
+    assert "[FAIL]" not in out
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,122 @@
+"""Mutants of the package that the `stability` and `orbits` suites must catch.
+
+Each row edits one file of a copy of ``src/maxclass`` (the old text must
+occur exactly once), runs ``verify --suite <suite>`` on the default grid
+against the copy in a subprocess, and expects exactly the named
+properties to fail.  Together the rows flip every property of both
+suites.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "maxclass"
+
+PROPERTIES = {
+    "stability": [
+        "depth criterion = structural criterion (p >= n)",
+        "column equality propagates one step right",
+        "restriction can only lower the minimal stable index",
+        "all-shallow specs repeat with period p^(max depth)",
+    ],
+    "orbits": [
+        "orbit size = p^(restricted minimal stable index)",
+        "shifts compose additively mod p^N",
+        "irreducibility is constant on orbits",
+        "depth case profile is constant on orbits (p >= n)",
+    ],
+}
+
+# (file, old text, new text, suite, properties expected to fail)
+MUTANTS = [
+    pytest.param(
+        "stability.py", "for e in spec.tail)", "for e in spec.tail[1:])",
+        "stability", ["depth criterion = structural criterion (p >= n)"],
+        id="depth-criterion-skips-e2",
+    ),
+    # Only where e_n is a unit, so every restriction keeps index N and no
+    # drift check trips before the propagation property sees the table.
+    pytest.param(
+        "standard_form.py",
+        "    rep = StandardFormRep(spec, tuple(rows))\n",
+        "    if exps[-1] % spec.pp.p:\n"
+        "        rows = [row[:-1] + row[-2:-1] for row in rows]\n"
+        "    rep = StandardFormRep(spec, tuple(rows))\n",
+        "stability", ["column equality propagates one step right"],
+        id="last-column-repeated",
+    ),
+    # The restriction to rows 2..n reads row n alone.  The index of rows
+    # 2..n then drops below that of rows 3..n, while the full index still
+    # bounds every restriction: only the whole chain r = 1..n-1 sees it.
+    pytest.param(
+        "stability.py", "cols = rep.columns(first_row)",
+        "cols = rep.columns(rep.n if first_row == 2 else first_row)",
+        "stability", ["restriction can only lower the minimal stable index"],
+        id="restriction-to-row-2-reads-row-n",
+    ),
+    pytest.param(
+        "standard_form.py", "return max(depth_of", "return min(depth_of",
+        "stability", ["all-shallow specs repeat with period p^(max depth)"],
+        id="max-tail-depth-takes-min",
+    ),
+    pytest.param(
+        "orbits.py", "m = minimal_stable_index(rep, first_row=2)",
+        "m = minimal_stable_index(rep, first_row=1)",
+        "orbits", ["orbit size = p^(restricted minimal stable index)"],
+        id="orbit-law-unrestricted",
+    ),
+    pytest.param(
+        "orbits.py", "rep.column(offset + 1, first_row=2)",
+        "rep.column(offset + 2, first_row=2)",
+        "orbits", ["shifts compose additively mod p^N"],
+        id="shift-off-by-one",
+    ),
+    # A verdict computed from the table alone is a function of the
+    # shift-invariant minimal stable index, so it has to read the spec's
+    # exponents to vary along an orbit.
+    pytest.param(
+        "stability.py", "    return minimal_stable_index(rep, 1) == rep.spec.pp.N\n",
+        "    return (minimal_stable_index(rep, 1) == rep.spec.pp.N) != (rep.spec.tail[0] == 0)\n",
+        "orbits", ["irreducibility is constant on orbits"],
+        id="verdict-reads-e2",
+    ),
+    pytest.param(
+        "standard_form.py", "return max(depth_of", "return min(depth_of",
+        "orbits", ["depth case profile is constant on orbits (p >= n)"],
+        id="depth-case-takes-min",
+    ),
+]
+
+
+@pytest.mark.parametrize("file, old, new, suite, expected", MUTANTS)
+def test_suite_catches_the_mutant(tmp_path, file, old, new, suite, expected):
+    package = tmp_path / "maxclass"
+    shutil.copytree(SRC, package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / file
+    text = path.read_text()
+    assert text.count(old) == 1, f"{file} no longer holds the mutated text once"
+    path.write_text(text.replace(old, new))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxclass.cli", "verify", "--suite", suite],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    verdicts = {}
+    for line in proc.stdout.splitlines()[:-1]:
+        status, name = re.fullmatch(r"\[(PASS|FAIL)\] (.*?)(?: \(\d+ specs\))?", line).groups()
+        verdicts[name] = status
+    assert list(verdicts) == PROPERTIES[suite], proc.stdout + proc.stderr
+    assert [name for name, status in verdicts.items() if status == "FAIL"] == expected
+    assert proc.returncode == 1
+
+
+def test_every_property_is_flipped_by_some_mutant():
+    flipped = {(row.values[3], name) for row in MUTANTS for name in row.values[4]}
+    assert flipped == {(suite, name) for suite, names in PROPERTIES.items() for name in names}

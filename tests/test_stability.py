@@ -1,5 +1,6 @@
 import pytest
 
+from maxclass import stability
 from maxclass.errors import ExceptionalPrimeError, InternalCheckError
 from maxclass.checks import iter_reps
 from maxclass.rootlog import PrimePower
@@ -86,16 +87,32 @@ def test_column_equality_propagates():
 def test_restriction_monotone():
     pp = PrimePower(5, 1)
     rep = build_rep(EigenSpec(3, pp, (0, 1, 0)))
-    assert restriction_monotone(rep, 2)
+    assert restriction_monotone(rep)
     rep2 = build_rep(EigenSpec(3, pp, (0, 0, 1)))
-    assert restriction_monotone(rep2, 2)
-    with pytest.raises(ValueError):
-        restriction_monotone(rep, 3)
+    assert restriction_monotone(rep2)
     for n, p, N in EXHAUSTIVE_GRID:
-        if n == 2:
-            continue
         for rep in iter_reps(n, p, N):
-            assert all(restriction_monotone(rep, k) for k in range(2, n))
+            assert restriction_monotone(rep)
+
+
+def test_restriction_monotone_fails_on_a_rising_chain(monkeypatch):
+    # Columns that agree on rows r..n agree on rows r+1..n, so a correct
+    # index can never rise along the chain; only a faulty restriction can.
+    # Rows 3..4 of this (4,5,1) table are not constant (index 1), and the
+    # fault below reads the restriction to rows 2..4 off row 4 alone
+    # (index 0), so the chain reads 1, 0, 1.
+    spec = EigenSpec(4, PrimePower(5, 1), (0, 0, 1, 1))
+    rows = ((0, 2, 2, 1, 0), (0, 2, 0, 4, 4), (1, 2, 3, 4, 0), (1, 1, 1, 1, 1))
+    rep = StandardFormRep(spec, rows)
+    assert rep == build_rep(spec)
+    assert [minimal_stable_index(rep, r) for r in (1, 2, 3)] == [1, 1, 1]
+    assert restriction_monotone(rep)
+
+    def row_4_for_row_2(rep, first_row=1):
+        return minimal_stable_index(rep, rep.n if first_row == 2 else first_row)
+
+    monkeypatch.setattr(stability, "minimal_stable_index", row_4_for_row_2)
+    assert not restriction_monotone(rep)
 
 
 def test_shallow_specs_repeat_early():
