@@ -17,9 +17,9 @@ import numpy as np
 
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
-from .errors import BudgetExceededError, ExceptionalPrimeError, InternalCheckError
+from .errors import BudgetExceededError, InternalCheckError
 from .orbits import shift_orbit, shift_spec
-from .rootlog import PrimePower, depth_of, validate_grid_point
+from .rootlog import PrimePower, check_family_point, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
 from .stability import (
     is_irreducible_depth,
@@ -486,10 +486,7 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{sorted(SUITES)} or 'all'")
     if pins:
-        try:
-            validate_grid_point(n, p, N)
-        except ExceptionalPrimeError:
-            pass  # each suite that takes a grid refuses p < n or runs there
+        check_family_point(n, p, N)
     keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
              "counting", "zeta", "oracle") if name == "all" else (name,))
     results = []

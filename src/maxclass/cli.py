@@ -25,8 +25,8 @@ import sys
 
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
-from .errors import ExceptionalPrimeError, MaxclassError
-from .rootlog import PrimePower, validate_grid_point
+from .errors import MaxclassError
+from .rootlog import PrimePower, check_family_point, validate_grid_point
 from .standard_form import EigenSpec, build_rep
 from .zeta import count_from_series
 
@@ -56,6 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="count twist isoclasses at (n, p, N)")
+    count.set_defaults(handler=cmd_count)
     count.add_argument("--n", type=_positive_int, required=True)
     count.add_argument("--p", type=_positive_int, required=True)
     count.add_argument("--N", type=_nonneg_int, required=True)
@@ -65,12 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     count.add_argument("--format", choices=("text", "json"), default="text")
-    count.add_argument("--budget", type=_positive_int, default=None,
-                       help="enumeration budget (default MAXCLASS_BUDGET or 10^8)")
-    count.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker processes for the enumeration")
 
     zcmd = sub.add_parser("zeta", help="closed-form local zeta factor")
+    zcmd.set_defaults(handler=cmd_zeta)
     zcmd.add_argument("--n", type=_positive_int, required=True)
     zcmd.add_argument("--p", type=_positive_int, default=None,
                       help="specialize p for a series table")
@@ -79,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     zcmd.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run an exhaustive property suite")
+    verify.set_defaults(handler=cmd_verify)
     verify.add_argument(
         "--suite",
         required=True,
@@ -89,15 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--N", type=_nonneg_int, default=None)
 
     table = sub.add_parser("table", help="TSV of counts for N = 0..max_N")
+    table.set_defaults(handler=cmd_table)
     table.add_argument("--n", type=_positive_int, required=True)
     table.add_argument("--p", type=_positive_int, required=True)
     table.add_argument("--max-N", dest="max_N", type=_nonneg_int, required=True)
-    table.add_argument("--budget", type=_positive_int, default=None,
-                       help="enumeration budget (default MAXCLASS_BUDGET or 10^8)")
-    table.add_argument("--threads", type=_positive_int, default=1,
-                       help="worker processes for the enumeration")
+    for enumerating in (count, table):
+        enumerating.add_argument("--budget", type=_positive_int, default=None,
+                                 help="enumeration budget (default MAXCLASS_BUDGET or 10^8)")
+        enumerating.add_argument("--threads", type=_positive_int, default=1,
+                                 help="worker processes for the enumeration")
 
     dump = sub.add_parser("dump", help="standard-form exponent table as JSON")
+    dump.set_defaults(handler=cmd_dump)
     dump.add_argument("--n", type=_positive_int, required=True)
     dump.add_argument("--p", type=_positive_int, required=True)
     dump.add_argument("--N", type=_positive_int, required=True)
@@ -172,11 +174,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    if args.series is not None:
-        if args.p is None:
-            raise ValueError("--series needs --p")
-        validate_grid_point(args.n, args.p, args.series)
-        _refuse_unprintable_count(args.n, args.p, args.series)
+    if args.p is not None:
+        validate_grid_point(args.n, args.p, args.series or 0)
+        _refuse_unprintable_count(args.n, args.p, args.series or 0)
+    elif args.series is not None:
+        raise ValueError("--series needs --p")
     f = zeta.zeta_closed_form(args.n)
     factor = zeta.functional_equation_factor(args.n)
     holds = factor == args.n - 1
@@ -224,10 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        validate_grid_point(args.n, args.p, args.max_N)
-    except ExceptionalPrimeError:
-        pass  # p < n fails cell by cell, each with its method's message
+    check_family_point(args.n, args.p, args.max_N)  # p < n fails cell by cell
     budget = resolve_budget(args.budget)
     _refuse_unprintable_count(args.n, args.p, args.max_N)
     print("n\tp\tN\tr_enum\tr_closed\tr_series\tagree\terror")
@@ -276,17 +275,9 @@ def cmd_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "count": cmd_count,
-        "zeta": cmd_zeta,
-        "verify": cmd_verify,
-        "table": cmd_table,
-        "dump": cmd_dump,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
     except (MaxclassError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -375,10 +375,7 @@ def enumerate_isoclasses(
         raise MaxclassError(
             f"{total_tails} tails: the enumeration is exact only below 2^62 tails"
         )
-    count = 0
-    census = {}
-    for c, cen in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
-        count += c
-        for size, orbits in cen.items():
-            census[size] = census.get(size, 0) + orbits
-    return CountReport(n, p, N, count, dict(sorted(census.items())))
+    census: Counter[int] = Counter()
+    for _, shard_census in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
+        census.update(shard_census)
+    return CountReport(n, p, N, census.total(), dict(sorted(census.items())))

@@ -5,11 +5,11 @@ a plain int exponent e in [0, p^N); multiplying roots adds exponents
 mod p^N.  The *depth* of lambda is the least k such that lambda is a
 p^k-th root of unity; in exponent terms depth(e) = N - v_p(e) for
 e != 0 and depth(0) = 0, and depth N means primitive.  `PrimePower`
-carries the modulus p^N and its size guard, and `validate_grid_point`
-is the input check every counting method shares.  Nothing in this
-module (or in any module that counts) ever touches a complex number:
-the choice of zeta is immaterial because every statement is an exact
-statement about exponents.
+carries the modulus p^N and its size guard, and this module holds
+every rule on the input (n, p, N).  Nothing in this module (or in any
+module that counts) ever touches a complex number: the choice of zeta
+is immaterial because every statement is an exact statement about
+exponents.
 """
 
 from __future__ import annotations
@@ -37,18 +37,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_group_index(n: int) -> None:
+    """Refuse an n outside the group family G_n, which starts at n = 2."""
+    if n < 2:
+        raise ValueError("the group family starts at n = 2")
+
+
+def check_family_point(n: int, p: int, N: int) -> None:
+    """Refuse n < 2, then a non-prime p, then N < 0; admit an exceptional p < n."""
+    check_group_index(n)
+    PrimePower(p, N)
+
+
 def validate_grid_point(n: int, p: int, N: int) -> None:
     """Refuse an (n, p, N) that no counting method covers.
 
     Every counting method calls this, so each refuses bad input on its
     own: n < 2, a non-prime p, N < 0, or an exceptional prime p < n.
     """
-    if n < 2:
-        raise ValueError("the group family starts at n = 2")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    check_family_point(n, p, N)
     if p < n:
         raise ExceptionalPrimeError(
             f"exceptional prime p={p} < n={n}: counting here requires p >= n"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError
-from .rootlog import PrimePower, depth_of
+from .rootlog import PrimePower, check_group_index, depth_of
 from .simplex import simplex_row_mod
 
 
@@ -56,8 +56,7 @@ class EigenSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("the group index n must be >= 2")
+        check_group_index(self.n)
         if self.pp.N < 1:
             raise ValueError("standard forms need N >= 1")
         exps = tuple(self.exponents)

@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import InternalCheckError
-from .rootlog import validate_grid_point
+from .rootlog import check_group_index, validate_grid_point
 
 
 class BivariatePolynomial:
@@ -308,8 +308,7 @@ def zeta_closed_form(n: int) -> BivariateRationalFunction:
     For n = 2 the reduction cancels a (1 - t), leaving
     (1 - t) / (1 - p t).
     """
-    if n < 2:
-        raise ValueError("the group family starts at n = 2")
+    check_group_index(n)
     num = BivariatePolynomial({(0, 0): 1, (0, 1): -2, (0, 2): 1})
     return BivariateRationalFunction(num, ((n - 2, 1), (1, 1)))
 
@@ -366,8 +365,7 @@ def geometric_assembly(n: int) -> BivariateRationalFunction:
     for the equivalent partial-fraction shape that exists away from
     n = 3.
     """
-    if n < 2:
-        raise ValueError("the group family starts at n = 2")
+    check_group_index(n)
     mono = BivariatePolynomial.monomial
     one = BivariateRationalFunction.from_int(1)
     # (1 - p^-(n-2)) * p^(n-2) t / (1 - p^(n-2) t); numerator p^(n-2)t - t.
@@ -407,8 +405,7 @@ def middle_term_partial_fractions(n: int) -> BivariateRationalFunction:
     """
     if n == 3:
         raise ValueError("the partial-fraction shape has a removable pole at n = 3")
-    if n < 2:
-        raise ValueError("the group family starts at n = 2")
+    check_group_index(n)
     coef = BivariateRationalFunction(_middle_coefficient(n), ((3 - n, 0),))
     pt = BivariatePolynomial.monomial(1, 1, 1)
     bracket = BivariateRationalFunction(pt, ((n - 2, 1),)) - BivariateRationalFunction(

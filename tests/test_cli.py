@@ -63,8 +63,9 @@ def test_count_json_schema(capsys):
     "n, p, message", [(3, 4, "p=4 is not prime"), (5, 3, "exceptional prime p=3 < n=5")]
 )
 def test_count_series_refuses_bad_input(capsys, n, p, message):
-    # `zeta --series` checks its input the same way.
-    for argv in (["count", "--N", "2", "--method", "series"], ["zeta", "--series", "2"]):
+    # `zeta` checks its input the same way whenever it is given --p.
+    for argv in (["count", "--N", "2", "--method", "series"], ["zeta", "--series", "2"],
+                 ["zeta"]):
         code, out, err = run_cli(capsys, *argv, "--n", str(n), "--p", str(p))
         assert code == 2
         assert out == ""
@@ -707,10 +708,12 @@ def test_table_records_cell_errors(capsys):
     "n, p, message", [(3, 4, "p=4 is not prime"), (1, 5, "the group family starts at n = 2")]
 )
 def test_table_refuses_input_no_cell_can_take(capsys, n, p, message):
-    code, out, err = run_cli(capsys, "table", "--n", str(n), "--p", str(p), "--max-N", "1")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {message}\n"
+    # `dump` refuses the same input with the same message.
+    for argv in (["table", "--max-N", "1"], ["dump", "--N", "1", "--exponents", "0,0,0"]):
+        code, out, err = run_cli(capsys, *argv, "--n", str(n), "--p", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_table_series_cells_refuse_an_exceptional_prime(capsys):

@@ -1,10 +1,10 @@
-"""Mutants of the package that the `stability` and `orbits` suites must catch.
+"""Mutants of the package that the property suites must catch.
 
 Each row edits one file of a copy of ``src/maxclass`` (the old text must
 occur exactly once), runs ``verify --suite <suite>`` on the default grid
 against the copy in a subprocess, and expects exactly the named
-properties to fail.  Together the rows flip every property of both
-suites.
+properties to fail.  Together the rows flip every property of the
+suites in ``PROPERTIES``.
 """
 
 import os
@@ -30,6 +30,17 @@ PROPERTIES = {
         "shifts compose additively mod p^N",
         "irreducibility is constant on orbits",
         "depth case profile is constant on orbits (p >= n)",
+    ],
+    "counting": [
+        "enumerated = closed form = series on the whole grid",
+        "orbit census matches the case-split prediction",
+    ],
+    "zeta": [
+        "functional equation with factor p^(n-1), n = 2..10",
+        "abscissa n-2 for n >= 3 and 1 for n = 2",
+        "geometric-series assembly reduces to the closed form",
+        "partial-fraction middle term matches its product form",
+        "series expansions hit the reference values",
     ],
 }
 
@@ -91,6 +102,49 @@ MUTANTS = [
         "orbits", ["depth case profile is constant on orbits (p >= n)"],
         id="depth-case-takes-min",
     ),
+    pytest.param(
+        "counting.py", "    total += unit_frac * p**N\n", "    total += unit_frac * p**N + 1\n",
+        "counting", ["enumerated = closed form = series on the whole grid"],
+        id="closed-form-off-by-one",
+    ),
+    pytest.param(
+        "counting.py", "census.get(1, 0) + units", "census.get(1, 0) + units + 1",
+        "counting", ["orbit census matches the case-split prediction"],
+        id="census-one-extra-fixed-point",
+    ),
+    # The series expansion feeds both suites: the counting agreement and
+    # the reference coefficients.
+    pytest.param(
+        "zeta.py", "for m in range(b, n_max + 1):", "for m in range(b + 1, n_max + 1):",
+        "counting", ["enumerated = closed form = series on the whole grid"],
+        id="series-recurrence-starts-late-counting",
+    ),
+    pytest.param(
+        "zeta.py", "for m in range(b, n_max + 1):", "for m in range(b + 1, n_max + 1):",
+        "zeta", ["series expansions hit the reference values"],
+        id="series-recurrence-starts-late-zeta",
+    ),
+    pytest.param(
+        "zeta.py", "return k if", "return k + 1 if",
+        "zeta", ["functional equation with factor p^(n-1), n = 2..10"],
+        id="functional-equation-k-shifted",
+    ),
+    pytest.param(
+        "zeta.py", "return max(rates)", "return min(rates)",
+        "zeta", ["abscissa n-2 for n >= 3 and 1 for n = 2"],
+        id="abscissa-takes-min",
+    ),
+    pytest.param(
+        "zeta.py", "mono(1, 1, 1) - mono(1, 0, 1)", "mono(1, 1, 1) - mono(2, 0, 1)",
+        "zeta", ["geometric-series assembly reduces to the closed form"],
+        id="assembly-last-numerator",
+    ),
+    pytest.param(
+        "zeta.py", "pt = BivariatePolynomial.monomial(1, 1, 1)",
+        "pt = BivariatePolynomial.monomial(1, 2, 1)",
+        "zeta", ["partial-fraction middle term matches its product form"],
+        id="partial-fractions-numerator",
+    ),
 ]
 
 
@@ -110,7 +164,8 @@ def test_suite_catches_the_mutant(tmp_path, file, old, new, suite, expected):
     )
     verdicts = {}
     for line in proc.stdout.splitlines()[:-1]:
-        status, name = re.fullmatch(r"\[(PASS|FAIL)\] (.*?)(?: \(\d+ specs\))?", line).groups()
+        status, name = re.fullmatch(
+            r"\[(PASS|FAIL)\] (.*?)(?: \(\d+ (?:specs|grid points.*)\))?", line).groups()
         verdicts[name] = status
     assert list(verdicts) == PROPERTIES[suite], proc.stdout + proc.stderr
     assert [name for name, status in verdicts.items() if status == "FAIL"] == expected

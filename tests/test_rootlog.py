@@ -1,7 +1,13 @@
 import pytest
 
-from maxclass.errors import GuardExceededError
-from maxclass.rootlog import PrimePower, depth_of, is_prime
+from maxclass.errors import ExceptionalPrimeError, GuardExceededError
+from maxclass.rootlog import (
+    PrimePower,
+    check_family_point,
+    depth_of,
+    is_prime,
+    validate_grid_point,
+)
 
 SMALL_CONTEXTS = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)]  # all p^N <= 125
 
@@ -24,6 +30,26 @@ def test_prime_power_validation():
     with pytest.raises(GuardExceededError):
         PrimePower(1009, 2).check_guard()  # just above the 10^6 guard
     PrimePower(997, 2).check_guard()  # just below it
+
+
+@pytest.mark.parametrize(
+    "n, p, N, message",
+    [
+        (1, 4, -1, "the group family starts at n = 2"),
+        (3, 4, -1, "p=4 is not prime"),
+        (3, 5, -1, "N must be >= 0"),
+    ],
+)
+def test_input_rules_refuse_in_order(n, p, N, message):
+    for check in (check_family_point, validate_grid_point):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(n, p, N)
+
+
+def test_only_the_grid_point_check_refuses_an_exceptional_prime():
+    check_family_point(5, 3, 1)
+    with pytest.raises(ExceptionalPrimeError, match="^exceptional prime p=3 < n=5"):
+        validate_grid_point(5, 3, 1)
 
 
 def test_depth_examples():
