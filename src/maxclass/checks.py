@@ -203,8 +203,6 @@ def suite_rootlog(grid=None) -> list[PropertyResult]:
     ok = True
     for p, N in ROOTLOG_CONTEXTS:
         q = p**N
-        if q > 125:
-            continue
         depths = np.array([depth_of(e, p, N) for e in range(q)], dtype=np.int64)
         sums = np.add.outer(np.arange(q), np.arange(q)) % q
         ok &= bool(np.all(depths[sums] <= np.maximum.outer(depths, depths)))
@@ -471,8 +469,9 @@ SUITES = {
 def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     """Run one suite (or "all"), optionally pinned to a single grid point.
 
-    A pinned n < 2 or non-prime p is refused before any suite runs; an
-    exceptional prime p < n reaches the suites.  A suite that raises
+    A pinned n < 2 or non-prime p is refused before any suite runs, and
+    so is a pinned p < n for "all", whose counting suite would refuse it;
+    a single suite pinned at p < n runs.  A suite that raises
     ``InternalCheckError`` has found a broken identity, not bad input:
     it reports as one failed property "<suite>: <message>", and the
     other suites still run.  Every other error, the input refusals among
@@ -486,7 +485,7 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{sorted(SUITES)} or 'all'")
     if pins:
-        check_family_point(n, p, N)
+        (validate_grid_point if name == "all" else check_family_point)(n, p, N)
     keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
              "counting", "zeta", "oracle") if name == "all" else (name,))
     results = []

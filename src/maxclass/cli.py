@@ -26,7 +26,7 @@ import sys
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
 from .errors import MaxclassError
-from .rootlog import PrimePower, check_family_point, validate_grid_point
+from .rootlog import check_family_point, validate_grid_point
 from .standard_form import EigenSpec, build_rep
 from .zeta import count_from_series
 
@@ -130,6 +130,7 @@ def _census_text(census: dict[int, int]) -> str:
 
 
 def cmd_count(args) -> int:
+    validate_grid_point(args.n, args.p, args.N)
     _refuse_unprintable_count(args.n, args.p, args.N)
     methods = {"enumerated": None, "closed_form": None, "series": None}
     census = None
@@ -268,7 +269,7 @@ def cmd_dump(args) -> int:
         exponents = tuple(int(x) for x in args.exponents.split(","))
     except ValueError:
         raise ValueError(f"malformed exponent list {args.exponents!r}") from None
-    spec = EigenSpec(args.n, PrimePower(args.p, args.N), exponents)
+    spec = EigenSpec(args.n, check_family_point(args.n, args.p, args.N), exponents)
     rep = build_rep(spec)
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     return 0

@@ -43,22 +43,23 @@ def check_group_index(n: int) -> None:
         raise ValueError("the group family starts at n = 2")
 
 
-def check_family_point(n: int, p: int, N: int) -> None:
-    """Refuse n < 2, then a non-prime p, then N < 0; admit an exceptional p < n."""
+def check_family_point(n: int, p: int, N: int) -> PrimePower:
+    """Refuse n < 2, then a non-prime p, then N < 0; return the modulus p^N, even at p < n."""
     check_group_index(n)
-    PrimePower(p, N)
+    return PrimePower(p, N)
 
 
 def validate_grid_point(n: int, p: int, N: int) -> None:
-    """Refuse an (n, p, N) that no counting method covers.
+    """Refuse an (n, p, N) outside the non-exceptional theory.
 
-    Every counting method calls this, so each refuses bad input on its
-    own: n < 2, a non-prime p, N < 0, or an exceptional prime p < n.
+    Every counting method and the depth irreducibility test call this,
+    so each refuses bad input on its own: n < 2, a non-prime p, N < 0,
+    or an exceptional prime p < n, in that order.
     """
     check_family_point(n, p, N)
     if p < n:
         raise ExceptionalPrimeError(
-            f"exceptional prime p={p} < n={n}: counting here requires p >= n"
+            f"exceptional prime p={p} < n={n}: this toolkit requires p >= n"
         )
 
 

@@ -22,7 +22,8 @@ The depth form is only valid for p >= n and is guarded accordingly.
 
 from __future__ import annotations
 
-from .errors import ExceptionalPrimeError, InternalCheckError
+from .errors import InternalCheckError
+from .rootlog import validate_grid_point
 from .standard_form import EigenSpec, StandardFormRep
 
 
@@ -68,14 +69,10 @@ def is_irreducible_depth(spec: EigenSpec) -> bool:
     """True iff some e_i (i >= 2) is a primitive p^N-th root exponent.
 
     Equivalent to the structural test whenever it applies, but it only
-    applies for p >= n; smaller primes are rejected.
+    applies for p >= n; ``validate_grid_point`` refuses smaller primes.
     """
-    p, n = spec.pp.p, spec.n
-    if p < n:
-        raise ExceptionalPrimeError(
-            f"exceptional prime p={p} < n={n}: irreducibility by depth is only "
-            f"valid for p >= n; smaller primes are outside this toolkit's scope"
-        )
+    p = spec.pp.p
+    validate_grid_point(spec.n, p, spec.pp.N)
     return any(e % p != 0 for e in spec.tail)
 
 

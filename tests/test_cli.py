@@ -72,6 +72,59 @@ def test_count_series_refuses_bad_input(capsys, n, p, message):
         assert message in err
 
 
+NOT_IN_FAMILY = "the group family starts at n = 2"
+NOT_PRIME = "p=4 is not prime"
+EXCEPTIONAL = "exceptional prime p=3 < n=5: this toolkit requires p >= n"
+REFUSALS = [
+    ((1, 5, 1), NOT_IN_FAMILY),
+    ((1, 4, 1), NOT_IN_FAMILY),
+    ((3, 4, 1), NOT_PRIME),
+    ((5, 3, 1), EXCEPTIONAL),
+    ((3, 4, 100000), NOT_PRIME),
+    ((5, 3, 100000), EXCEPTIONAL),
+]
+COMMANDS = {
+    **{f"count-{m}": ["count", "--method", m, "--N"] for m in ("enum", "closed", "series", "all")},
+    "zeta": ["zeta", "--series"],
+    "table": ["table", "--max-N"],
+    "dump": ["dump", "--exponents", "0", "--N"],
+    "verify": ["verify", "--suite", "all", "--N"],
+}
+
+
+def refusal_cases():
+    # `table` and `dump` admit p < n: `table` reports it cell by cell, so
+    # only its digit bound refuses (5,3,100000) up front.
+    for (n, p, N), message in REFUSALS:
+        for command, argv in COMMANDS.items():
+            expected = message
+            if message == EXCEPTIONAL and command in ("table", "dump"):
+                if command == "dump" or N == 1:
+                    continue
+                expected = (f"the count at n={n}, p={p}, N={N} may have 143142 digits, "
+                            "over Python's int-to-str limit of 4300")
+            yield pytest.param([*argv, str(N), "--n", str(n), "--p", str(p)], expected,
+                               id=f"{command}-{n}-{p}-{N}")
+
+
+@pytest.mark.parametrize("argv, message", list(refusal_cases()))
+def test_every_command_refuses_bad_input_in_one_order(capsys, monkeypatch, argv, message):
+    # n < 2, then a non-prime p, then N < 0, then p < n, then the digit
+    # bound, all before any count, table or suite starts.
+    import maxclass.checks as checks
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on refused input")
+
+    for name in ("enumerate_isoclasses", "closed_form_count", "count_from_series", "build_rep"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli.zeta, "series_coefficients", no_work)
+    for key in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, key, no_work)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def fail_if_called(*args, **kwargs):
     raise AssertionError("a counting method that was not asked for ran")
 
@@ -109,12 +162,6 @@ def test_count_closed_and_series_run_no_enumeration(capsys, monkeypatch, method,
     assert "agreement: yes" in out
 
 
-def test_count_exceptional_prime(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "4", "--p", "3", "--N", "1")
-    assert code == 2
-    assert "exceptional prime p=3 < n=4" in err
-
-
 def test_count_budget(capsys):
     code, _, err = run_cli(
         capsys, "count", "--n", "3", "--p", "5", "--N", "2", "--budget", "10"
@@ -145,12 +192,6 @@ def test_count_bad_budget_setting(capsys, monkeypatch, setting):
     code, _, err = run_cli(capsys, "count", "--n", "3", "--p", "5", "--N", "0")
     assert code == 2
     assert "MAXCLASS_BUDGET" in err or "budget" in err
-
-
-def test_count_nonprime(capsys):
-    code, _, err = run_cli(capsys, "count", "--n", "2", "--p", "6", "--N", "1")
-    assert code == 2
-    assert "not prime" in err
 
 
 @pytest.mark.parametrize("n, p, N", [(2, 5, 5), (2, 7, 4), (2, 3, 7), (4, 7, 2)])
@@ -517,6 +558,20 @@ def test_verify_oracle_suite_refuses_an_exceptional_prime(capsys):
     assert "[FAIL]" not in out
 
 
+def test_verify_all_refuses_an_exceptional_prime_before_any_suite(monkeypatch):
+    # `all` reaches `counting`, which refuses p < n, so no suite may run first.
+    import maxclass.checks as checks
+    from maxclass.errors import ExceptionalPrimeError
+
+    def no_suite(grid=None):
+        raise AssertionError("a suite ran on an exceptional prime")
+
+    for key in checks.SUITES:
+        monkeypatch.setitem(checks.SUITES, key, no_suite)
+    with pytest.raises(ExceptionalPrimeError, match="^exceptional prime p=3 < n=4: "):
+        checks.run_suite("all", 4, 3, 3)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -702,18 +757,6 @@ def test_table_records_cell_errors(capsys):
     assert last[3] == ""  # enumeration cell empty
     assert last[4] == "56"  # closed form still fine
     assert "budget" in last[7]
-
-
-@pytest.mark.parametrize(
-    "n, p, message", [(3, 4, "p=4 is not prime"), (1, 5, "the group family starts at n = 2")]
-)
-def test_table_refuses_input_no_cell_can_take(capsys, n, p, message):
-    # `dump` refuses the same input with the same message.
-    for argv in (["table", "--max-N", "1"], ["dump", "--N", "1", "--exponents", "0,0,0"]):
-        code, out, err = run_cli(capsys, *argv, "--n", str(n), "--p", str(p))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
 
 
 def test_table_series_cells_refuse_an_exceptional_prime(capsys):

@@ -19,6 +19,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "maxclass"
 
 PROPERTIES = {
+    "standardform": [
+        "closed form = recursion on every entry",
+        "last row constant (central generator is scalar)",
+        "column 1 reproduces the defining exponents",
+        "cycle wraparound consistent for p >= n",
+        "row n-1 is the geometric progression of e_n",
+        "deepest-entry rows have all-distinct predecessors",
+    ],
     "stability": [
         "depth criterion = structural criterion (p >= n)",
         "column equality propagates one step right",
@@ -46,6 +54,47 @@ PROPERTIES = {
 
 # (file, old text, new text, suite, properties expected to fail)
 MUTANTS = [
+    # E[i][j+1] = E[i+1][j] + E[i][j]: the closed form and the wraparound
+    # see it, while row n-1 still reads the constant row n.
+    pytest.param(
+        "standard_form.py", "cur[j] = (above[j] + cur[j - 1]) % q",
+        "cur[j] = (above[j - 1] + cur[j - 1]) % q",
+        "standardform", ["closed form = recursion on every entry",
+                         "cycle wraparound consistent for p >= n"],
+        id="recursion-reads-row-above-one-column-late",
+    ),
+    pytest.param(
+        "standard_form.py", "for k in range(i + 2, n + 1)", "for k in range(i + 1, n + 1)",
+        "standardform", ["cycle wraparound consistent for p >= n"],
+        id="cycle-constraint-from-i-plus-1",
+    ),
+    pytest.param(
+        "standard_form.py", "        j0 = (j - 1) % self.dim\n", "        j0 = j % self.dim\n",
+        "standardform", ["column 1 reproduces the defining exponents"],
+        id="column-reads-one-right",
+    ),
+    pytest.param(
+        "standard_form.py", "return self.rows[i - 1][(j - 1) % self.dim]",
+        "return self.rows[i - 1][j % self.dim]",
+        "standardform", ["row n-1 is the geometric progression of e_n"],
+        id="entry-reads-one-right",
+    ),
+    pytest.param(
+        "standard_form.py", "rows[n - 1] = tuple([exps[n - 1]] * q)",
+        "rows[n - 1] = tuple([exps[n - 1]] * (q - 1) + [0])",
+        "standardform", ["closed form = recursion on every entry",
+                         "last row constant (central generator is scalar)",
+                         "cycle wraparound consistent for p >= n",
+                         "row n-1 is the geometric progression of e_n",
+                         "deepest-entry rows have all-distinct predecessors"],
+        id="last-row-ends-in-zero",
+    ),
+    pytest.param(
+        "rootlog.py", "    if value == 0:\n        return 0\n",
+        "    if value == 0:\n        return N\n",
+        "standardform", ["deepest-entry rows have all-distinct predecessors"],
+        id="trivial-root-counted-primitive",
+    ),
     pytest.param(
         "stability.py", "for e in spec.tail)", "for e in spec.tail[1:])",
         "stability", ["depth criterion = structural criterion (p >= n)"],

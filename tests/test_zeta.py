@@ -128,6 +128,16 @@ def test_rational_equality_cross_multiplies():
     assert f == g
 
 
+def test_rational_equality_cross_multiplies_unreduced_denominators():
+    # (1 + p t) / (1 - p^2 t^2) is 1 / (1 - p t), but construction cancels
+    # only whole (1 - p^a t^b) factors, so the denominators stay different.
+    f = BivariateRationalFunction(mono(1) + mono(1, 1, 1), ((2, 2),))
+    g = BivariateRationalFunction(mono(1), ((1, 1),))
+    assert f.den_factors != g.den_factors
+    assert f == g
+    assert f != BivariateRationalFunction(mono(1), ((2, 1),))
+
+
 def test_rational_addition():
     one = BivariateRationalFunction.from_int(1)
     last = BivariateRationalFunction(mono(1, 1, 1) - mono(1, 0, 1), ((1, 1),))
@@ -237,3 +247,12 @@ def test_render_handles_monomials_and_constants():
     assert render_text(BivariateRationalFunction.from_int(7)) == "7"
     f = BivariateRationalFunction(mono(3, 2, 1), ((1, 1),))
     assert render_text(f) == "3 p^2 t / (1 - p t)"
+
+
+def test_render_handles_sums_and_zero():
+    f = BivariateRationalFunction(mono(1) + mono(1, 1, 1), ((2, 2),))
+    assert render_text(f) == "(1 + p t) / (1 - p^2 t^2)"
+    g = BivariateRationalFunction(mono(1) - mono(2, 0, 1) + mono(3, 1, 2), ((1, 1),))
+    assert render_text(g) == "(1 - 2 t + 3 p t^2) / (1 - p t)"
+    zero = BivariateRationalFunction(BivariatePolynomial.zero(), ((1, 1),))
+    assert render_text(zero) == "0"
