@@ -7,33 +7,28 @@ catch the others' mistakes.  This module holds the first two and
 one (``checks.suite_counting``, the ``count`` and ``table`` commands)
 reconcile them:
 
-* enumeration: walk every tail (e_2, ..., e_n) in (Z/p^N)^(n-1), keep
-  the irreducible ones (some entry a unit mod p), and count one per
-  orbit by keeping exactly the tails that equal their orbit's
-  lexicographic minimum.  The orbit of a tail is the set of columns
-  (rows 2..n) of its standard-form table, and column j+1 depends only
-  on column j: the bottom entry stays e_n and, going upward,
-  new[r] = old[r] + new[r+1] mod p^N.  That step is a bijection
-  (old[r] = new[r] - new[r+1] undoes it), so the columns run round a
-  single cycle through column 0 with no lead-in.  Each tail is
-  therefore walked one column at a time from column 0: the first
-  column lex-smaller than column 0 rejects it, and the first return to
-  column 0 accepts it.  The return time d is the number of distinct
-  columns, i.e. the orbit size; the table closes up after p^N columns,
-  so d divides p^N and is p^m for m the minimal stable index of rows
-  2..n.  A rejected tail costs only the columns up to its first
-  smaller one, and the accepted tails cost the sum of their orbit
-  sizes, which is the number of irreducible tails.  The walk runs on
-  numpy int64 blocks of tails, one column step for the whole block at
-  a time: each block walks a few columns, which settles most of its
-  rows, and the rows still walking are pooled across blocks and walked
-  to the end together.  int64 is exact below 2^62 tails, and larger
-  runs are refused up front.  The tail indices split into k contiguous
+* enumeration: run over every tail (e_2, ..., e_n) in (Z/p^N)^(n-1),
+  keep the irreducible ones (some entry a unit mod p), and count their
+  orbits by orbit-stabilizer.  The orbit of a tail is the set of
+  columns (rows 2..n) of its standard-form table, and column j+1
+  depends only on column j: the bottom entry stays e_n and, going
+  upward, new[r] = old[r] + new[r+1] mod p^N, i.e. new[r] is the sum
+  of old[s] over s >= r.  That step is a linear map A, so the orbit of
+  a tail t is {A^j t} and its size is the period of t, the least d
+  with A^d t = t.  The table closes up after p^N columns, so d divides
+  p^N and is a power of p.  An orbit of size d holds exactly d tails,
+  each of period d, so census[d] = #{irreducible tails of period d}/d.
+  With D_m = A^(p^m) - I mod p^N, built once per point, the period of
+  t is p^(m+1) for the largest m < N with D_m t != 0, and 1 if there
+  is none; D_N t = 0 is the orbit-size law.  The tests run on numpy
+  int64 blocks of tails, exact below 2^62 tails, and larger runs are
+  refused up front.  The tail indices split into k contiguous
   shards, at most ``os.cpu_count()`` and each of at least
-  ``_MIN_SHARD_TAILS`` = 2^16 tails, so that a child's work repays its
-  start: the calling process runs one and k - 1 child processes run
-  the rest, each sending its count and census back over a pipe, and
-  the shards merge by addition;
+  ``_MIN_SHARD_TAILS`` = 2^16 tails: the calling process runs one and k - 1 child processes run the rest, each sending its
+  tail count per period back over a pipe.  A shard may cut an orbit,
+  so the shards merge by addition and the division by d comes once,
+  after the merge; a merged count that d does not divide breaks the
+  orbit-size law and raises;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -57,11 +52,13 @@ term rather than only in total.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,16 +67,14 @@ from .rootlog import validate_grid_point
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
-# The enumeration's int64 tail indices, lex keys and x + y < 2 p^N sums
+# The enumeration's int64 tail indices and step-matrix products
 # are exact below this many tails; a run that large could never finish.
 MAX_TAILS = 2**62
-# Tails decoded per block, and survivor rows walked together per pool flush.
+# Tails decoded and sorted by period together, per block.
 _BLOCK = 4096
-# Columns each block walks before its unsettled rows join the survivor pool.
-_EARLY_STEPS = 8
-# Tails each shard must hold.  On a 2-vCPU host with Python 3.11, starting
-# a child costs about 5 ms and a tail 0.34-0.65 us, so a 2^16-tail shard's
-# work is 4-8 times its start.
+# Tails each shard must hold.  A child's start (about 4.4 ms) is about
+# the work of 2^16 tails; two shards won 6 runs of 7 from 265 720 tails
+# a shard and were even below 200 000 (README, "--threads").
 _MIN_SHARD_TAILS = 2**16
 
 
@@ -159,120 +154,94 @@ def expected_census(n: int, p: int, N: int) -> dict[int, int]:
     return census
 
 
-def _lex_keys(cols, q: int):
-    """Each column of ``cols`` as one integer that orders them lexicographically.
+@lru_cache(maxsize=None)
+def _step_differences(width: int, p: int, q: int) -> tuple:
+    """D_m = A^(p^m) - I mod q for m = 0..M, M the least with p^M >= q.
 
-    Row 0 (e_2) is the most significant digit base q.  The last row
-    (e_n) is left out: it is the same in every column of a tail, so it
-    cannot change order or equality.  The keys are below q^(n-2) (q at
-    n = 2), fewer than the tails, so they are exact in int64.
+    A is the column step on (Z/q)^width: new[r] is the sum of old[s]
+    over s >= r, so (A^k)[r][r+j] = C(k+j-1, j).  The entries are
+    computed in Python ints and kept as read-only int64 arrays below q.
     """
-    keys = cols[0].copy()
-    for row in cols[1:-1]:
-        keys *= q
-        keys += row
-    return keys
+    powers = [1]
+    while powers[-1] < q:
+        powers.append(powers[-1] * p)
+    diffs = tuple(
+        np.array([[math.comb(k + c - r - 1, c - r) % q if c > r else 0
+                   for c in range(width)] for r in range(width)], dtype=np.int64)
+        for k in powers
+    )
+    for diff in diffs:
+        diff.setflags(write=False)
+    return diffs
 
 
-def _orbit_sizes(base, col, p: int, q: int, walked: int = 0, steps: int | None = None):
-    """Walk the columns of a block of tails together; census the canonical ones.
+def _period_census(tails, p: int, q: int) -> dict[int, int]:
+    """{period: rows} of a block of tails under the column step A.
 
-    ``base`` holds column 0 of each tail and ``col`` its column number
-    ``walked``, both as (n-1, rows) int64 arrays with e_2 in row 0;
-    ``col`` is overwritten.  Every row takes the step
-    new[r] = old[r] + new[r+1] mod q (both terms are below q, so one
-    conditional subtraction reduces), for at most ``steps`` more columns
-    and never beyond column q.  A row leaves at its first column that is
-    lex-smaller than column 0, which rejects it, or at its return to
-    column 0 after d columns, which keeps it with orbit size d.  The
-    orbit-size law is checked on every return: d must be a power of p,
-    and no row may still be walking at column q.
+    ``tails`` is a (width, rows) int64 array with e_2 in row 0 and
+    entries below q.  The orbit of a tail t is {A^j t}, so its size is
+    the period of t, which the orbit-size law makes a power of p that
+    A^(p^M) fixes (M the least with p^M >= q, so M = N at q = p^N).
+    D_M = A^(p^M) - I is the same for every block: when it is 0 mod q
+    it fixes every row at once, and otherwise each row is tested and
+    the first one it moves raises.  Then, for m = M-1 down to 0, the
+    rows D_m still moves have period p^(m+1) and leave; most leave at
+    the first test.  The rows never moved have period 1, as every row
+    has at width 1 (n = 2), where A is the identity.
 
-    Returns (census, base, col): {orbit size: kept rows}, and column 0
-    and the current column of the rows still walking.
+    int64 is exact: D_m is zero on and below the diagonal, so each entry
+    of D_m t sums at most n - 2 nonzero products below q^2, and
+    (n-2) q^2 <= q^(n-1) < 2^62 whenever q^(n-1) < 2^62, as
+    ``MAX_TAILS`` ensures (q^(n-3) >= 2^(n-3) >= n - 2 for n >= 3).
+    n = 2 needs no product.
     """
-    width = col.shape[0]
-    target = _lex_keys(base, q)
-    rows = np.arange(col.shape[1])
-    last = q if steps is None else min(q, walked + steps)
     census: dict[int, int] = {}
-    for d in range(walked + 1, last + 1):
-        if not rows.size:
-            break
-        for r in range(width - 2, -1, -1):
-            x = col[r]
-            x += col[r + 1]
-            np.subtract(x, q, out=x, where=x >= q)
-        keys = _lex_keys(col, q)
-        alive = keys > target
-        if alive.all():
-            continue
-        returned = keys == target
-        hits = int(np.count_nonzero(returned))
-        if hits:
-            if not _is_power(d, p):
-                raise _law_error(base[:, rows[returned.argmax()]], p, q)
-            census[d] = hits
-        col, target, rows = col[:, alive], target[alive], rows[alive]
-    if rows.size and last == q:
-        raise _law_error(base[:, rows[0]], p, q)
-    return census, base[:, rows], col
-
-
-def _is_power(d: int, p: int) -> bool:
-    while d % p == 0:
-        d //= p
-    return d == 1
+    if tails.shape[0] > 1:
+        *diffs, last = _step_differences(tails.shape[0], p, q)
+        if last.any():
+            moved = ((last @ tails) % q != 0).any(axis=0)
+            if moved.any():
+                raise _law_error(tails[:, moved.argmax()], p, q)
+        for m in range(len(diffs) - 1, -1, -1):
+            moved = ((diffs[m] @ tails) % q != 0).any(axis=0)
+            if moved.any():
+                census[p ** (m + 1)] = int(np.count_nonzero(moved))
+                tails = tails.compress(~moved, axis=1)
+    if tails.shape[1]:
+        census[1] = tails.shape[1]
+    return census
 
 
 def _law_error(tail, p: int, q: int) -> InternalCheckError:
     return InternalCheckError(
         f"orbit size law violated at tail {tuple(int(e) for e in tail)} "
-        f"(p={p}, p^N={q}): the column walk did not return to column 0 "
-        f"after a power of p steps within p^N"
+        f"(p={p}, p^N={q}): A^(p^N), A the column step, does not fix it"
     )
 
 
 def _count_tail_range(n: int, p: int, N: int, lo: int, hi: int):
-    """Count canonical irreducible tails with index in [lo, hi).
+    """Count irreducible tails with index in [lo, hi), by period.
 
     Tails are indexed base-p^N with e_2 least significant.  They are
     decoded in blocks of ``_BLOCK`` rows; rows with no unit entry are
-    reducible and dropped, and ``_orbit_sizes`` walks the rest
-    ``_EARLY_STEPS`` columns, which settles most of them.  The few rows
-    still walking join a survivor pool that is walked to the end once
-    it holds ``_BLOCK`` rows, and at the end of the range, so a block
-    never pays for up to p^N near-empty steps on its own.  All of this
-    is int64 arithmetic, exact below ``MAX_TAILS`` = 2^62 tails, which
-    ``enumerate_isoclasses`` refuses to reach.  Returns (count, census)
-    for the slice, in plain ints; slices merge by addition, so the
-    total is independent of the sharding and of the block size.
+    reducible and dropped, and ``_period_census`` sorts the rest by
+    period.  All of this is int64 arithmetic, exact below ``MAX_TAILS``
+    = 2^62 tails, which ``enumerate_isoclasses`` refuses to reach.
+    Returns (tails, {period: tails}) for the slice, in plain ints.  A
+    range may cut an orbit, so a period need not divide its tail count
+    here; slices merge by addition, so the total is independent of the
+    sharding and of the block size.
     """
     q = p**N
     width = n - 1
     census: Counter[int] = Counter()
-    pool: list[tuple] = []
-    pooled = 0
     for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        idx = np.arange(start, stop, dtype=np.int64)
+        idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
         tails = np.empty((width, idx.size), dtype=np.int64)
         for r in range(width):
             idx, tails[r] = np.divmod(idx, q)
-        tails = tails[:, (tails % p != 0).any(axis=0)]  # no unit entry: reducible
-        part, base, col = _orbit_sizes(tails, tails.copy(), p, q, steps=_EARLY_STEPS)
-        census.update(part)
-        if base.shape[1]:
-            pool.append((base, col))
-            pooled += base.shape[1]
-        if pool and (pooled >= _BLOCK or stop == hi):
-            part, _, _ = _orbit_sizes(
-                np.concatenate([b for b, _ in pool], axis=1),
-                np.concatenate([c for _, c in pool], axis=1),
-                p, q, walked=_EARLY_STEPS,
-            )
-            census.update(part)
-            pool, pooled = [], 0
+        tails = tails.compress((tails % p != 0).any(axis=0), axis=1)  # no unit: reducible
+        census.update(_period_census(tails, p, q))
     return sum(census.values()), dict(census)
 
 
@@ -300,7 +269,7 @@ def _shard_child(conn, n: int, p: int, N: int, lo: int, hi: int) -> None:
 
 
 def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
-    """Each shard's (count, census), in shard order.
+    """Each shard's (tails, {period: tails}), in shard order.
 
     Every shard but the first runs in a child process started with the
     default start method, which sends its result back over a one-way
@@ -351,15 +320,17 @@ def enumerate_isoclasses(
 ) -> CountReport:
     """Count the twist isoclasses at (n, p, N) by enumerating all tails.
 
-    Keeps a tail iff it is irreducible and equals its own canonical
-    (lex-least) orbit representative, so memory stays bounded by a few
-    blocks of tails and the tail space can be sharded: with k shards
-    (at most ``workers`` and ``os.cpu_count()``, each of at least
-    ``_MIN_SHARD_TAILS`` tails), the calling process runs one and
-    k - 1 child processes run the rest.  The reduction is
-    a plain sum, deterministic under any sharding.  More tails than the
-    budget, or ``MAX_TAILS`` = 2^62 or more, are refused before any
-    work starts.
+    Counts the irreducible tails of each period d and divides by d,
+    since an orbit of size d holds exactly d tails, each of period d.
+    Memory stays bounded by a few blocks of tails and the tail space can
+    be sharded: with k shards (at most ``workers`` and
+    ``os.cpu_count()``, each of at least ``_MIN_SHARD_TAILS`` tails),
+    the calling process runs one and k - 1 child processes run the
+    rest.  The shards' counts per period merge by a plain sum,
+    deterministic under any sharding, and a merged count that its
+    period does not divide raises ``InternalCheckError``.  More tails
+    than the budget, or ``MAX_TAILS`` = 2^62 or more, are refused before
+    any work starts.
     """
     validate_grid_point(n, p, N)
     budget = resolve_budget(budget)
@@ -375,7 +346,15 @@ def enumerate_isoclasses(
         raise MaxclassError(
             f"{total_tails} tails: the enumeration is exact only below 2^62 tails"
         )
-    census: Counter[int] = Counter()
-    for _, shard_census in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
-        census.update(shard_census)
-    return CountReport(n, p, N, census.total(), dict(sorted(census.items())))
+    periods: Counter[int] = Counter()
+    for _, shard_periods in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
+        periods.update(shard_periods)
+    census: dict[int, int] = {}
+    for d, tails in sorted(periods.items()):
+        census[d], rest = divmod(tails, d)
+        if rest:
+            raise InternalCheckError(
+                f"orbit size law violated: {tails} tails of period {d} do not "
+                f"fill whole orbits (p={p}, N={N})"
+            )
+    return CountReport(n, p, N, sum(census.values()), census)

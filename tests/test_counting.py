@@ -1,7 +1,9 @@
 import dataclasses
 import multiprocessing
 import os
+import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from maxclass.checks import iter_reps
 from maxclass.counting import (
     CountReport,
     _count_tail_range,
-    _orbit_sizes,
+    _period_census,
     _shard_bounds,
     closed_form_count,
     enumerate_isoclasses,
@@ -204,10 +206,10 @@ def test_against_brute_force_partition():
 
 
 def test_parallel_enumeration_is_deterministic(monkeypatch):
-    # Split two to four ways, each shard of (3,3,6) flushes its survivor
-    # pool three times or more; (2,5,5) never fills it.  Four reported
-    # cores and a shard floor of one tail let workers=3 and 4 start two
-    # and three children on any host, at every point.
+    # Split two to four ways, the shards may cut orbits, so only the
+    # merged period counts need divide by their periods.  Four
+    # reported cores and a shard floor of one tail let workers=3 and 4
+    # start two and three children on any host, at every point.
     monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
     for n, p, N in [(4, 5, 2), (3, 3, 5), (2, 5, 5), (3, 5, 3), (3, 3, 6)]:
@@ -298,16 +300,14 @@ def tail_of(idx, n, q):
 
 
 def assert_walk_matches_orbits(n, p, N, indices):
-    """Each tail's keep/size verdict agrees with the orbit layer."""
+    """Each irreducible tail's period is its orbit size in the orbit layer."""
     pp = PrimePower(p, N)
     for idx in indices:
         tail = tail_of(idx, n, pp.dim)
         spec = spec_from_tail(n, pp, tail)
         want = (0, {})
         if is_irreducible_depth(spec):
-            orbit = shift_orbit(build_rep(spec, validate=False))
-            if min(orbit) == tuple(tail):
-                want = (1, {len(orbit): 1})
+            want = (1, {len(shift_orbit(build_rep(spec, validate=False))): 1})
         assert _count_tail_range(n, p, N, idx, idx + 1) == want, (n, p, N, tail)
 
 
@@ -363,30 +363,96 @@ def test_walk_differential_random(point, data):
     assert_range_splits(n, p, N, lo, mid, hi)
 
 
-def orbit_size(tail, p, q):
-    """Orbit size of one canonical tail by the batched walk, 0 if rejected."""
-    base = np.array([tail], dtype=np.int64).T
-    census, rest, _ = _orbit_sizes(base, base.copy(), p, q)
-    assert rest.shape[1] == 0 and sum(census.values()) <= 1
-    return next(iter(census), 0)
+def period(tail, p, q):
+    """Period of one tail under the column step, by the block kernel."""
+    census = _period_census(np.array([tail], dtype=np.int64).T, p, q)
+    assert list(census.values()) == [1]
+    return next(iter(census))
 
 
 def test_orbit_size_law_rejects_return_time_not_a_power_of_p():
-    # Modulo 6 the columns of (0, 1) are (k, 1) for k = 0..5: column 0 is
-    # the least and the walk returns after 6 steps, a power of neither
-    # 2 nor 3.  Modulo 2 the same walk returns after 2 steps.
-    assert orbit_size([0, 1], 2, 2) == 2
+    # Modulo 6 the columns of (0, 1) are (k, 1) for k = 0..5, so its
+    # period is 6, a power of neither 2 nor 3: A^8 (p = 2) and A^9
+    # (p = 3), the first powers of p at least 6, move it.  Modulo 2 its
+    # period is 2.
+    assert period([0, 1], 2, 2) == 2
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        orbit_size([0, 1], 2, 6)
+        period([0, 1], 2, 6)
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        orbit_size([0, 1], 3, 6)
+        period([0, 1], 3, 6)
 
 
 def test_orbit_size_law_rejects_no_return_within_p_to_the_N():
     # p = 2 < n - 1 = 3 is exceptional: the table does not close up after
-    # p^N = 2 columns, and the column walk of (0, 0, 1) needs 4 steps.
+    # p^N = 2 columns, and the period of (0, 0, 1) is 4.
     with pytest.raises(InternalCheckError, match="orbit size law"):
-        orbit_size([0, 0, 1], 2, 2)
+        period([0, 0, 1], 2, 2)
+
+
+def test_merged_period_count_must_fill_whole_orbits(monkeypatch):
+    # Four tails of period 3 cannot be whole orbits of size 3.
+    monkeypatch.setattr(counting, "_count_tail_range", lambda n, p, N, lo, hi: (4, {3: 4}))
+    with pytest.raises(InternalCheckError, match="orbit size law"):
+        enumerate_isoclasses(3, 3, 1)
+
+
+@given(st.sampled_from(SMALL_POINTS), st.sampled_from([1, 5, 64, 4096]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_random_four_way_splits_merge_to_the_census(point, block, data):
+    # Each shard cuts orbits anywhere; only the merged counts divide.
+    n, p, N = point
+    total = p ** ((n - 1) * N)
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+
+    def serial(n, p, N, bounds):
+        return [_count_tail_range(n, p, N, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    with mock.patch.object(counting, "_BLOCK", block), \
+            mock.patch.object(counting, "_shard_bounds", lambda *_: [0, *cuts, total]), \
+            mock.patch.object(counting, "_fan_out", serial):
+        report = enumerate_isoclasses(n, p, N, workers=4)
+    assert report.orbit_census == expected_census(n, p, N)
+
+
+def reference_period(tail, p, q):
+    """Least p^m with A^(p^m) t = t mod q, by Python-int matrix powers; None past q."""
+    width = len(tail)
+
+    def product(a, b):
+        return [[sum(a[r][s] * b[s][c] for s in range(width)) % q for c in range(width)]
+                for r in range(width)]
+
+    power, d = [[int(c >= r) for c in range(width)] for r in range(width)], 1
+    while [sum(a * t for a, t in zip(row, tail)) % q for row in power] != list(tail):
+        if d >= q:
+            return None
+        base = power
+        for _ in range(p - 1):
+            power = product(power, base)
+        d *= p
+    return d
+
+
+@pytest.mark.parametrize("n, p, N", [(3, 2, 30), (4, 2, 20), (4, 3, 13)])
+def test_period_kernel_is_exact_near_the_int64_edge(n, p, N):
+    # At (3,2,30) and (4,3,13), q = p^N is the largest power of p with
+    # q^(n-1) < 2^62.  (4,2,20) is exceptional, so some of its tails
+    # break the orbit-size law.
+    q = p**N
+    rng = random.Random(f"{n},{p},{N}")
+    rows = [[q - 1 - (i >> r & 1) for r in range(n - 1)] for i in range(2 ** (n - 1))]
+    rows += [[rng.randrange(q) for _ in range(n - 1)] for _ in range(16)]
+    census, lawful = {}, []
+    for tail in rows:
+        want = reference_period(tail, p, q)
+        if want is None:
+            with pytest.raises(InternalCheckError, match="orbit size law"):
+                period(tail, p, q)
+        else:
+            assert period(tail, p, q) == want, tail
+            census[want] = census.get(want, 0) + 1
+            lawful.append(tail)
+    assert _period_census(np.array(lawful, dtype=np.int64).T, p, q) == census
 
 
 @pytest.mark.parametrize("n, p, N", [(3, 3, 3), (4, 5, 1), (2, 3, 4)])
@@ -406,4 +472,5 @@ def test_range_count_is_independent_of_block_size(monkeypatch, n, p, N):
     for block, lo, hi, count, census in results:
         first = next(r for r in results if r[1:3] == (lo, hi))
         assert (count, census) == first[3:], (block, lo, hi)
-    assert results[0][3:] == (closed_form_count(n, p, N), expected_census(n, p, N))
+    # An orbit of size d holds d tails of period d.
+    assert results[0][4] == {d: d * orbits for d, orbits in expected_census(n, p, N).items()}
