@@ -17,9 +17,9 @@ import numpy as np
 
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
-from .errors import BudgetExceededError, InternalCheckError
+from .errors import InternalCheckError
 from .orbits import shift_orbit, shift_spec
-from .rootlog import PrimePower, check_family_point, depth_of, validate_grid_point
+from .rootlog import check_family_point, check_table_point, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
 from .stability import (
     is_irreducible_depth,
@@ -94,20 +94,10 @@ class PropertyResult:
 
 
 def iter_reps(n: int, p: int, N: int):
-    """One unvalidated table per normalized spec (0, e_2, ..., e_n) at (n, p, N).
-
-    Each suite does work linear in a spec's p^N table columns, so the
-    budget is charged p^((n-1)N) specs x p^N columns = p^(nN) table cells,
-    before any spec is built.
-    """
-    pp = PrimePower(p, N)
-    specs, budget = pp.dim ** (n - 1), resolve_budget()
-    cells = specs * pp.dim
-    if cells > budget:
-        raise BudgetExceededError(f"{cells} table cells ({specs} specs x {pp.dim} columns) "
-                                  f"exceed the enumeration budget {budget}")
-    tails = itertools.product(range(pp.dim), repeat=n - 1)
-    return (build_rep(spec_from_tail(n, pp, tail), validate=False) for tail in tails)
+    """One unvalidated table per spec (0, e_2, ..., e_n), once `check_table_point` passes."""
+    pp = check_table_point(n, p, N, resolve_budget())
+    return (build_rep(spec_from_tail(n, pp, tail), validate=False)
+            for tail in itertools.product(range(pp.dim), repeat=n - 1))
 
 
 # -- simplex -----------------------------------------------------------------
@@ -223,8 +213,8 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
     distinct_ok = True
     checked = 0
     for n, p, N in grid:
-        q = p**N
         for rep in iter_reps(n, p, N):
+            q = rep.dim
             spec = rep.spec
             checked += 1
             try:
@@ -274,8 +264,8 @@ def suite_stability(grid=None) -> list[PropertyResult]:
     period_ok = True
     checked = 0
     for n, p, N in grid:
-        q = p**N
         for rep in iter_reps(n, p, N):
+            q = rep.dim
             spec = rep.spec
             checked += 1
             cols = rep.columns()
@@ -322,8 +312,8 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
     case_ok = True
     checked = 0
     for n, p, N in grid:
-        q = p**N
         for rep in iter_reps(n, p, N):
+            q = rep.dim
             checked += 1
             try:
                 shift_orbit(rep)  # raises if the orbit size is not p^m
@@ -419,8 +409,8 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         validate_grid_point(n, p, N)
-        q = p**N
         reps = iter_reps(n, p, N)
+        q = p**N
         while chunk := list(itertools.islice(reps, max(1, _ORACLE_CHUNK // (n * q * q)))):
             checked += len(chunk)
             c = oracle.realize(chunk)
@@ -470,8 +460,9 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     """Run one suite (or "all"), optionally pinned to a single grid point.
 
     A pinned n < 2 or non-prime p is refused before any suite runs, and
-    so is a pinned p < n for "all", whose counting suite would refuse it;
-    a single suite pinned at p < n runs.  A suite that raises
+    so is a pinned p < n, N < 1 or point over the table-cell budget for
+    "all", whose counting or table suites would refuse it; a single suite
+    pinned at p < n runs.  A suite that raises
     ``InternalCheckError`` has found a broken identity, not bad input:
     it reports as one failed property "<suite>: <message>", and the
     other suites still run.  Every other error, the input refusals among
@@ -486,6 +477,8 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
                          f"{sorted(SUITES)} or 'all'")
     if pins:
         (validate_grid_point if name == "all" else check_family_point)(n, p, N)
+    if pins and name == "all":
+        check_table_point(n, p, N, resolve_budget())
     keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
              "counting", "zeta", "oracle") if name == "all" else (name,))
     results = []

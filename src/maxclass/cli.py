@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
 from .errors import MaxclassError
-from .rootlog import check_family_point, validate_grid_point
+from .rootlog import check_family_point, refuse_unprintable_count, validate_grid_point
 from .standard_form import EigenSpec, build_rep
 from .zeta import count_from_series
 
@@ -111,33 +110,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_unprintable_count(n: int, p: int, N: int) -> None:
-    """Exit 2 up front when r_{p^N} could have too many digits to print.
-
-    The closed form sums N + 1 terms p^((n-2)N), p^(N + (n-3)l) (1 <= l < N)
-    and p^N, each times a fraction in [0, 1), so r_{p^N} <=
-    (N + 1) p^(max(n-2, 1) N) at every p >= 1; logarithms bound its digits.
-    """
-    digits = math.floor(math.log10(N + 1) + max(n - 2, 1) * N * math.log10(p)) + 1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and digits > limit:
-        raise MaxclassError(f"the count at n={n}, p={p}, N={N} may have {digits} digits, "
-                            f"over Python's int-to-str limit of {limit}")
-
-
 def _census_text(census: dict[int, int]) -> str:
     return ", ".join(f"{count} of size {size}" for size, count in sorted(census.items()))
 
 
 def cmd_count(args) -> int:
     validate_grid_point(args.n, args.p, args.N)
-    _refuse_unprintable_count(args.n, args.p, args.N)
+    refuse_unprintable_count(args.n, args.p, args.N)
     methods = {"enumerated": None, "closed_form": None, "series": None}
     census = None
     if args.method in ("enum", "all"):
-        report = enumerate_isoclasses(
-            args.n, args.p, args.N, budget=args.budget, workers=args.threads
-        )
+        report = enumerate_isoclasses(args.n, args.p, args.N, budget=args.budget,
+                                      workers=args.threads)
         methods["enumerated"] = report.r_enumerated
         census = report.orbit_census
     if args.method in ("closed", "all"):
@@ -177,7 +161,7 @@ def cmd_count(args) -> int:
 def cmd_zeta(args) -> int:
     if args.p is not None:
         validate_grid_point(args.n, args.p, args.series or 0)
-        _refuse_unprintable_count(args.n, args.p, args.series or 0)
+        refuse_unprintable_count(args.n, args.p, args.series or 0)
     elif args.series is not None:
         raise ValueError("--series needs --p")
     f = zeta.zeta_closed_form(args.n)
@@ -208,9 +192,7 @@ def cmd_zeta(args) -> int:
         else:
             print("functional equation: FAILS")
         if coeffs is not None:
-            print(
-                f"series at p={args.p}: " + ", ".join(str(c) for c in coeffs)
-            )
+            print(f"series at p={args.p}: " + ", ".join(str(c) for c in coeffs))
     return 0 if holds else 1
 
 
@@ -229,7 +211,7 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     check_family_point(args.n, args.p, args.max_N)  # p < n fails cell by cell
     budget = resolve_budget(args.budget)
-    _refuse_unprintable_count(args.n, args.p, args.max_N)
+    refuse_unprintable_count(args.n, args.p, args.max_N)
     print("n\tp\tN\tr_enum\tr_closed\tr_series\tagree\terror")
     disagreed = False
     for N in range(args.max_N + 1):
@@ -269,8 +251,9 @@ def cmd_dump(args) -> int:
         exponents = tuple(int(x) for x in args.exponents.split(","))
     except ValueError:
         raise ValueError(f"malformed exponent list {args.exponents!r}") from None
-    spec = EigenSpec(args.n, check_family_point(args.n, args.p, args.N), exponents)
-    rep = build_rep(spec)
+    pp = check_family_point(args.n, args.p, args.N)
+    pp.check_guard()  # before EigenSpec reads p^N
+    rep = build_rep(EigenSpec(args.n, pp, exponents))
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     return 0
 

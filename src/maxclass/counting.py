@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError, InternalCheckError, MaxclassError
-from .rootlog import validate_grid_point
+from .rootlog import refuse_power, validate_grid_point
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
@@ -88,9 +88,7 @@ def resolve_budget(budget: int | None = None) -> int:
         try:
             budget = int(text)
         except ValueError:
-            raise MaxclassError(
-                f"{BUDGET_ENV_VAR}={text!r} is not an integer"
-            ) from None
+            raise MaxclassError(f"{BUDGET_ENV_VAR}={text!r} is not an integer") from None
     if not isinstance(budget, int) or budget <= 0:
         raise MaxclassError(f"the budget must be a positive integer, got {budget!r}")
     return budget
@@ -311,13 +309,8 @@ def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
             recv_end.close()
 
 
-def enumerate_isoclasses(
-    n: int,
-    p: int,
-    N: int,
-    budget: int | None = None,
-    workers: int = 1,
-) -> CountReport:
+def enumerate_isoclasses(n: int, p: int, N: int, budget: int | None = None,
+                         workers: int = 1) -> CountReport:
     """Count the twist isoclasses at (n, p, N) by enumerating all tails.
 
     Counts the irreducible tails of each period d and divides by d,
@@ -336,16 +329,11 @@ def enumerate_isoclasses(
     budget = resolve_budget(budget)
     if N == 0:
         return CountReport(n, p, N, 1, {1: 1})
+    refuse_power(p, (n - 1) * N, min(budget, MAX_TAILS - 1),
+                 f"tails exceed the enumeration budget {budget} (override with the budget "
+                 f"argument or {BUDGET_ENV_VAR}) or the exactness bound 2^62 - 1",
+                 BudgetExceededError)
     total_tails = p ** ((n - 1) * N)
-    if total_tails > budget:
-        raise BudgetExceededError(
-            f"{total_tails} tails exceed the enumeration budget {budget} "
-            f"(override with the budget argument or {BUDGET_ENV_VAR})"
-        )
-    if total_tails >= MAX_TAILS:
-        raise MaxclassError(
-            f"{total_tails} tails: the enumeration is exact only below 2^62 tails"
-        )
     periods: Counter[int] = Counter()
     for _, shard_periods in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
         periods.update(shard_periods)
@@ -353,8 +341,6 @@ def enumerate_isoclasses(
     for d, tails in sorted(periods.items()):
         census[d], rest = divmod(tails, d)
         if rest:
-            raise InternalCheckError(
-                f"orbit size law violated: {tails} tails of period {d} do not "
-                f"fill whole orbits (p={p}, N={N})"
-            )
+            raise InternalCheckError(f"orbit size law violated: {tails} tails of period {d} "
+                                     f"do not fill whole orbits (p={p}, N={N})")
     return CountReport(n, p, N, sum(census.values()), census)

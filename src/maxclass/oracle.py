@@ -46,9 +46,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardExceededError
+from .rootlog import refuse_power
 from .standard_form import StandardFormRep
 
 DEFAULT_ORACLE_GUARD = 64
+_GUARD_TEXT = f"matrix rows exceed the oracle guard {DEFAULT_ORACLE_GUARD}"
 DEFAULT_TOL = 1e-9
 SV_THRESHOLD = 1e-8
 
@@ -76,11 +78,6 @@ def _cycle_matrix(dim: int) -> np.ndarray:
     return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
 
 
-def _require_guard(dim: int) -> None:
-    if dim > DEFAULT_ORACLE_GUARD:
-        raise GuardExceededError(f"dim {dim} exceeds the oracle guard {DEFAULT_ORACLE_GUARD}")
-
-
 def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
     """Turn exponent tables of one (n, p, N) into complex matrices.
 
@@ -90,12 +87,12 @@ def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
     """
     single = isinstance(tables, StandardFormRep)
     first = tables if single else tables[0]
+    pp = first.spec.pp
+    refuse_power(pp.p, pp.N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
     dim = first.dim
-    _require_guard(dim)
     rows = np.array(first.rows if single else [t.rows for t in tables], dtype=float)
     xs = np.zeros(rows.shape + (dim,), dtype=complex)
     xs[..., np.arange(dim), np.arange(dim)] = np.exp(2j * np.pi * rows / dim)
-    pp = first.spec.pp
     return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))
 
 
@@ -184,7 +181,7 @@ def commutant_dimension(c: ComplexRep) -> np.ndarray:
 
     A value of 1 certifies irreducibility.
     """
-    _require_guard(c.dim)
+    refuse_power(c.p, c.N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
     sigmas = _commutant_singular_values(c)
     top = sigmas.max(axis=-1, keepdims=True)
     nullity = np.sum(sigmas < SV_THRESHOLD * top, axis=-1)

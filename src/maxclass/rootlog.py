@@ -6,19 +6,23 @@ mod p^N.  The *depth* of lambda is the least k such that lambda is a
 p^k-th root of unity; in exponent terms depth(e) = N - v_p(e) for
 e != 0 and depth(0) = 0, and depth N means primitive.  `PrimePower`
 carries the modulus p^N and its size guard, and this module holds
-every rule on the input (n, p, N).  Nothing in this module (or in any
-module that counts) ever touches a complex number: the choice of zeta
-is immaterial because every statement is an exact statement about
-exponents.
+every rule on the input (n, p, N), the one size rule `refuse_power`
+among them.  Nothing in this module (or in any module that counts) ever
+touches a complex number: the choice of zeta is immaterial because
+every statement is an exact statement about exponents.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
-from .errors import ExceptionalPrimeError, GuardExceededError
+from .errors import (BudgetExceededError, ExceptionalPrimeError, GuardExceededError,
+                     MaxclassError)
 
 DEFAULT_TABLE_GUARD = 10**6
+_TABLE_GUARD_TEXT = f"columns exceed the table guard {DEFAULT_TABLE_GUARD}"
 
 
 def is_prime(n: int) -> bool:
@@ -43,6 +47,37 @@ def check_group_index(n: int) -> None:
         raise ValueError("the group family starts at n = 2")
 
 
+def check_table_N(N: int) -> None:
+    """Refuse N < 1, where no standard-form table exists."""
+    if N < 1:
+        raise ValueError("standard forms need N >= 1")
+
+
+def refuse_power(p: int, e: int, bound: int, text: str, error: type[Exception]) -> None:
+    """The one size rule: raise ``error("{p}^{e} {text}")`` when p^e > bound.
+
+    With b = p.bit_length(), 2^(e(b-1)) <= p^e <= 2^(eb): only when bound's bit length
+    lies between those exponents is p^e built, with under twice bound's bits.
+    """
+    top, bits = bound.bit_length(), p.bit_length()
+    if e * bits >= top and (e * (bits - 1) >= top or p**e > bound):
+        raise error(f"{p}^{e} {text}")
+
+
+def refuse_unprintable_count(n: int, p: int, N: int) -> None:
+    """Refuse (n, p, N) when r_{p^N} could have too many digits to print.
+
+    The closed form sums N + 1 terms p^((n-2)N), p^(N + (n-3)l) (1 <= l < N)
+    and p^N, each times a fraction in [0, 1), so r_{p^N} <= (N + 1)
+    p^(max(n-2, 1) N) at every p >= 1; logarithms bound its digits.
+    """
+    digits = math.floor(math.log10(N + 1) + max(n - 2, 1) * N * math.log10(p)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits > limit:
+        raise MaxclassError(f"the count at n={n}, p={p}, N={N} may have {digits} digits, "
+                            f"over Python's int-to-str limit of {limit}")
+
+
 def check_family_point(n: int, p: int, N: int) -> PrimePower:
     """Refuse n < 2, then a non-prime p, then N < 0; return the modulus p^N, even at p < n."""
     check_group_index(n)
@@ -63,6 +98,15 @@ def validate_grid_point(n: int, p: int, N: int) -> None:
         )
 
 
+def check_table_point(n: int, p: int, N: int, budget: int) -> PrimePower:
+    """Refuse a bad (n, p, N), N < 1, then p^(nN) table cells over ``budget``; return p^N."""
+    pp = check_family_point(n, p, N)
+    check_table_N(N)
+    refuse_power(p, n * N, budget, f"table cells ({p}^{(n - 1) * N} specs x {p}^{N} columns) "
+                 f"exceed the enumeration budget {budget}", BudgetExceededError)
+    return pp
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """The modulus p^N all exponent arithmetic happens in."""
@@ -81,10 +125,7 @@ class PrimePower:
         return self.p**self.N
 
     def check_guard(self) -> None:
-        if self.dim > DEFAULT_TABLE_GUARD:
-            raise GuardExceededError(
-                f"p^N = {self.dim} exceeds the table guard {DEFAULT_TABLE_GUARD}"
-            )
+        refuse_power(self.p, self.N, DEFAULT_TABLE_GUARD, _TABLE_GUARD_TEXT, GuardExceededError)
 
 
 def depth_of(value: int, p: int, N: int) -> int:

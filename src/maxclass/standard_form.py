@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalCheckError
-from .rootlog import PrimePower, check_group_index, depth_of
+from .rootlog import PrimePower, check_group_index, check_table_N, depth_of
 from .simplex import simplex_row_mod
 
 
@@ -57,8 +57,7 @@ class EigenSpec:
 
     def __post_init__(self):
         check_group_index(self.n)
-        if self.pp.N < 1:
-            raise ValueError("standard forms need N >= 1")
+        check_table_N(self.pp.N)
         exps = tuple(self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) != self.n:

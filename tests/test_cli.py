@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from maxclass import cli, counting
+from maxclass import cli, counting, rootlog
 from maxclass.cli import main
 from maxclass.counting import closed_form_count
 from maxclass.errors import MaxclassError
@@ -92,12 +92,25 @@ COMMANDS = {
 }
 
 
+# At a valid (n, p, N) too large to run, each command names the first size
+# rule it breaks: the digit bound, dump's table guard, or the table-cell
+# budget of a pinned `verify --suite all`.
+HUGE = (3, 5, 10**9)
+HUGE_REFUSALS = {
+    "dump": "5^1000000000 columns exceed the table guard 1000000",
+    "verify": "5^3000000000 table cells (5^2000000000 specs x 5^1000000000 columns) "
+              "exceed the enumeration budget 100000000",
+}
+HUGE_COUNT = ("the count at n=3, p=5, N=1000000000 may have 698970014 digits, "
+              "over Python's int-to-str limit of 4300")
+
+
 def refusal_cases():
     # `table` and `dump` admit p < n: `table` reports it cell by cell, so
     # only its digit bound refuses (5,3,100000) up front.
-    for (n, p, N), message in REFUSALS:
+    for (n, p, N), message in [*REFUSALS, (HUGE, None)]:
         for command, argv in COMMANDS.items():
-            expected = message
+            expected = message or HUGE_REFUSALS.get(command, HUGE_COUNT)
             if message == EXCEPTIONAL and command in ("table", "dump"):
                 if command == "dump" or N == 1:
                     continue
@@ -122,6 +135,7 @@ def test_every_command_refuses_bad_input_in_one_order(capsys, monkeypatch, argv,
     for key in checks.SUITES:
         monkeypatch.setitem(checks.SUITES, key, no_work)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -168,6 +182,25 @@ def test_count_budget(capsys):
     )
     assert code == 2
     assert "budget" in err
+
+
+TAIL_RULE = ("tails exceed the enumeration budget {} (override with the budget argument or "
+             "MAXCLASS_BUDGET) or the exactness bound 2^62 - 1")
+
+
+@pytest.mark.parametrize(
+    "n, p, N, budget, size",
+    [(3, 5, 1000, 10**53, "5^2000"), (2, 2, 70, 2**80, "2^70"), (3, 5, 2, 10, "5^4")],
+)
+def test_count_names_the_tail_count_as_a_power(capsys, monkeypatch, n, p, N, budget, size):
+    # One rule refuses tails over the budget or over 2^62 - 1, before any tail is read.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(counting, "_fan_out", no_work)
+    argv = ["count", "--method", "enum", "--n", str(n), "--p", str(p), "--N", str(N)]
+    assert run_cli(capsys, *argv, "--budget", str(budget)) == (
+        2, "", f"error: {size} {TAIL_RULE.format(budget)}\n")
 
 
 def test_count_refuses_2_to_the_62_tails_or_more(capsys, monkeypatch):
@@ -223,9 +256,9 @@ def _assert_digit_bound(monkeypatch, n, p, N, r):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits - 1)
     if digits > 1:
         with pytest.raises(MaxclassError):
-            cli._refuse_unprintable_count(n, p, N)
+            rootlog.refuse_unprintable_count(n, p, N)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digits + 2)
-    cli._refuse_unprintable_count(n, p, N)
+    rootlog.refuse_unprintable_count(n, p, N)
 
 
 def test_digit_bound_on_the_closed_form_grid(monkeypatch):
@@ -246,7 +279,7 @@ def test_digit_bound_on_series_below_n(monkeypatch):
 
 def test_digit_limit_zero_means_no_limit(monkeypatch):
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    cli._refuse_unprintable_count(3, 5, 10**9)
+    rootlog.refuse_unprintable_count(3, 5, 10**9)
 
 
 @pytest.mark.parametrize(
@@ -602,6 +635,7 @@ def test_verify_refuses_a_partial_pin(capsys, monkeypatch, argv):
         (["rootlog", "--n", "1", "--p", "5", "--N", "1"], "the group family starts at n = 2"),
         (["stability", "--n", "1", "--p", "4", "--N", "1"], "the group family starts at n = 2"),
         (["all", "--n", "3", "--p", "6", "--N", "1"], "p=6 is not prime"),
+        (["all", "--n", "3", "--p", "5", "--N", "0"], "standard forms need N >= 1"),
     ],
 )
 def test_verify_refuses_an_invalid_pin_before_any_suite(capsys, monkeypatch, argv, message):
@@ -613,6 +647,37 @@ def test_verify_refuses_an_invalid_pin_before_any_suite(capsys, monkeypatch, arg
     for key in checks.SUITES:
         monkeypatch.setitem(checks.SUITES, key, no_suite)
     assert run_cli(capsys, "verify", "--suite", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("suite", ["counting", "zeta"])
+def test_verify_suites_without_tables_pass_at_N_0(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "3", "--p", "5", "--N", "0")
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        *((suite, HUGE_REFUSALS["verify"])
+          for suite in ("standardform", "stability", "orbits", "oracle")),
+        ("counting", f"5^2000000000 {TAIL_RULE.format(100000000)}"),
+    ],
+)
+def test_verify_refuses_a_huge_pin_by_its_exponent(capsys, monkeypatch, suite, message):
+    import maxclass.checks as checks
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a spec was built or a tail counted")
+
+    monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
+    for name in ("spec_from_tail", "build_rep"):
+        monkeypatch.setattr(checks, name, no_work)
+    monkeypatch.setattr(counting, "_fan_out", no_work)
+    n, p, N = HUGE
+    assert run_cli(
+        capsys, "verify", "--suite", suite, "--n", str(n), "--p", str(p), "--N", str(N)
+    ) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("suite", ["simplex", "zeta", "rootlog"])
@@ -641,15 +706,10 @@ def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N
 
     monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
     monkeypatch.setattr(checks, "spec_from_tail", no_spec)
-    code, out, err = run_cli(
+    assert run_cli(
         capsys, "verify", "--suite", suite, "--n", str(n), "--p", str(p), "--N", str(N)
-    )
-    assert code == 2
-    assert out == ""
-    assert (
-        f"{p ** (n * N)} table cells ({p ** ((n - 1) * N)} specs x {p ** N} columns) "
-        "exceed the enumeration budget 100000000" in err
-    )
+    ) == (2, "", f"error: {p}^{n * N} table cells ({p}^{(n - 1) * N} specs x {p}^{N} columns) "
+                 "exceed the enumeration budget 100000000\n")
 
 
 @pytest.mark.parametrize("budget, code", [("81", 0), ("80", 2)])
@@ -660,7 +720,8 @@ def test_verify_budget_counts_table_cells(capsys, monkeypatch, budget, code):
         capsys, "verify", "--suite", "stability", "--n", "2", "--p", "3", "--N", "2"
     )
     assert got == code
-    assert ("81 table cells" in err) == (code == 2)
+    assert err == ("error: 3^4 table cells (3^2 specs x 3^2 columns) exceed the enumeration "
+                   "budget 80\n" if code == 2 else "")
     assert "[FAIL]" not in out
 
 

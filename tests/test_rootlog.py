@@ -1,11 +1,17 @@
-import pytest
+import time
 
-from maxclass.errors import ExceptionalPrimeError, GuardExceededError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxclass.errors import BudgetExceededError, ExceptionalPrimeError, GuardExceededError
 from maxclass.rootlog import (
     PrimePower,
     check_family_point,
+    check_table_point,
     depth_of,
     is_prime,
+    refuse_power,
     validate_grid_point,
 )
 
@@ -30,6 +36,55 @@ def test_prime_power_validation():
     with pytest.raises(GuardExceededError):
         PrimePower(1009, 2).check_guard()  # just above the 10^6 guard
     PrimePower(997, 2).check_guard()  # just below it
+    with pytest.raises(GuardExceededError, match=r"^2\^30 columns exceed the table guard 1000000$"):
+        PrimePower(2, 30).check_guard()
+
+
+class Refused(Exception):
+    pass
+
+
+def refuses(p, e, bound):
+    try:
+        refuse_power(p, e, bound, "things", Refused)
+    except Refused as exc:
+        assert str(exc) == f"{p}^{e} things"
+        return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([1, 2, 3, 5, 97, 1009]), st.integers(0, 200), st.integers(0, 6))
+def test_size_rule_matches_the_plain_comparison(p, e, pick):
+    # Bounds at p^e - 1, p^e and p^e + 1, where the bit lengths cannot
+    # decide, and the real bounds: the oracle and table guards, the
+    # default budget and the exactness bound.
+    bound = [p**e - 1, p**e, p**e + 1, 64, 10**6, 10**8, 2**62 - 1][pick]
+    assert refuses(p, e, bound) == (p**e > bound)
+
+
+def test_size_rule_never_builds_a_huge_power():
+    start = time.perf_counter()
+    assert refuses(5, 10**15, 10**8)
+    assert refuses(2, 10**15, 2**62 - 1)
+    assert not refuses(1, 10**15, 1)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "n, p, N, budget, error, message",
+    [
+        (1, 4, 0, 1, ValueError, "the group family starts at n = 2"),
+        (3, 4, 0, 1, ValueError, "p=4 is not prime"),
+        (3, 5, 0, 1, ValueError, "standard forms need N >= 1"),
+        (3, 5, 1, 124, BudgetExceededError,
+         r"5\^3 table cells \(5\^2 specs x 5\^1 columns\) exceed the enumeration budget 124"),
+    ],
+)
+def test_table_point_rules_refuse_in_order(n, p, N, budget, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        check_table_point(n, p, N, budget)
+    assert check_table_point(3, 5, 1, 125) == PrimePower(5, 1)
 
 
 @pytest.mark.parametrize(
