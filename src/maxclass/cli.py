@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         enumerating.add_argument("--budget", type=_positive_int, default=None,
                                  help="enumeration budget (default MAXCLASS_BUDGET or 10^8)")
         enumerating.add_argument("--threads", type=_positive_int, default=1,
-                                 help="worker processes for the enumeration")
+                                 help="reserved: accepted and validated, but the enumeration "
+                                      "always runs in this one process")
 
     dump = sub.add_parser("dump", help="standard-form exponent table as JSON")
     dump.set_defaults(handler=cmd_dump)
@@ -120,8 +121,7 @@ def cmd_count(args) -> int:
     methods = {"enumerated": None, "closed_form": None, "series": None}
     census = None
     if args.method in ("enum", "all"):
-        report = enumerate_isoclasses(args.n, args.p, args.N, budget=args.budget,
-                                      workers=args.threads)
+        report = enumerate_isoclasses(args.n, args.p, args.N, budget=args.budget)
         methods["enumerated"] = report.r_enumerated
         census = report.orbit_census
     if args.method in ("closed", "all"):
@@ -227,9 +227,7 @@ def cmd_table(args) -> int:
 
         attempt(
             "enum",
-            lambda: enumerate_isoclasses(
-                args.n, args.p, N, budget=budget, workers=args.threads
-            ).r_enumerated,
+            lambda: enumerate_isoclasses(args.n, args.p, N, budget=budget).r_enumerated,
         )
         attempt("closed", lambda: closed_form_count(args.n, args.p, N))
         attempt("series", lambda: count_from_series(args.n, args.p, N))

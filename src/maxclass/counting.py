@@ -7,28 +7,28 @@ catch the others' mistakes.  This module holds the first two and
 one (``checks.suite_counting``, the ``count`` and ``table`` commands)
 reconcile them:
 
-* enumeration: run over every tail (e_2, ..., e_n) in (Z/p^N)^(n-1),
-  keep the irreducible ones (some entry a unit mod p), and count their
-  orbits by orbit-stabilizer.  The orbit of a tail is the set of
-  columns (rows 2..n) of its standard-form table, and column j+1
-  depends only on column j: the bottom entry stays e_n and, going
-  upward, new[r] = old[r] + new[r+1] mod p^N, i.e. new[r] is the sum
-  of old[s] over s >= r.  That step is a linear map A, so the orbit of
-  a tail t is {A^j t} and its size is the period of t, the least d
-  with A^d t = t.  The table closes up after p^N columns, so d divides
-  p^N and is a power of p.  An orbit of size d holds exactly d tails,
-  each of period d, so census[d] = #{irreducible tails of period d}/d.
-  With D_m = A^(p^m) - I mod p^N, built once per point, the period of
-  t is p^(m+1) for the largest m < N with D_m t != 0, and 1 if there
-  is none; D_N t = 0 is the orbit-size law.  The tests run on numpy
-  int64 blocks of tails, exact below 2^62 tails, and larger runs are
-  refused up front.  The tail indices split into k contiguous
-  shards, at most ``os.cpu_count()`` and each of at least
-  ``_MIN_SHARD_TAILS`` = 2^16 tails: the calling process runs one and k - 1 child processes run the rest, each sending its
-  tail count per period back over a pipe.  A shard may cut an orbit,
-  so the shards merge by addition and the division by d comes once,
-  after the merge; a merged count that d does not divide breaks the
-  orbit-size law and raises;
+* enumeration: count the orbits of the irreducible tails (e_2, ...,
+  e_n) in (Z/p^N)^(n-1), those with some entry a unit mod p, by
+  orbit-stabilizer.  The orbit of a tail is the set of columns (rows
+  2..n) of its standard-form table, and column j+1 depends only on
+  column j: the bottom entry stays e_n and, going upward, new[r] =
+  old[r] + new[r+1] mod p^N, i.e. new[r] is the sum of old[s] over
+  s >= r.  That step is a linear map A, so the orbit of a tail t is
+  {A^j t} and its size is the period of t, the least d with A^d t = t.
+  The table closes up after p^N columns, so d divides p^N and is a
+  power of p.  An orbit of size d holds exactly d tails, each of period
+  d, so census[d] = #{irreducible tails of period d}/d.  With D_m =
+  A^(p^m) - I mod p^N, built once per point, the period of t is
+  p^(m+1) for the largest m < N with D_m t != 0, and 1 if there is
+  none; D_N t = 0 is the orbit-size law.  Every D_m has a zero column
+  0, so the period does not depend on e_2: the walk runs over the rests
+  (e_3, ..., e_n) alone, each standing for the p^N tails that share
+  it, of which all are irreducible when the rest has a unit and
+  p^N - p^(N-1) (e_2 a unit) when it has none.  That is p^((n-2)N)
+  rests, each costing at most N + 1 small matrix tests, on numpy int64
+  blocks, exact below 2^62 tails; larger runs are refused up front.
+  The division by d comes once, after all blocks, and a count that d
+  does not divide breaks the orbit-size law and raises;
 * closed form: the case split by depth profile.  With a primitive entry
   beyond e_2 the orbit has full size p^N; with e_2 primitive and the
   rest of maximal depth l the orbit has size p^l.  Summing
@@ -53,7 +53,6 @@ term rather than only in total.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -70,12 +69,8 @@ BUDGET_ENV_VAR = "MAXCLASS_BUDGET"
 # The enumeration's int64 tail indices and step-matrix products
 # are exact below this many tails; a run that large could never finish.
 MAX_TAILS = 2**62
-# Tails decoded and sorted by period together, per block.
+# Rests decoded and sorted by period together, per block.
 _BLOCK = 4096
-# Tails each shard must hold.  A child's start (about 4.4 ms) is about
-# the work of 2^16 tails; two shards won 6 runs of 7 from 265 720 tails
-# a shard and were even below 200 000 (README, "--threads").
-_MIN_SHARD_TAILS = 2**16
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -159,6 +154,9 @@ def _step_differences(width: int, p: int, q: int) -> tuple:
     A is the column step on (Z/q)^width: new[r] is the sum of old[s]
     over s >= r, so (A^k)[r][r+j] = C(k+j-1, j).  The entries are
     computed in Python ints and kept as read-only int64 arrays below q.
+    Column 0 of every D_m must be zero, since the rest walk of
+    ``_count_tail_range`` weights each rest by its e_2 choices; a
+    nonzero one raises.
     """
     powers = [1]
     while powers[-1] < q:
@@ -168,7 +166,10 @@ def _step_differences(width: int, p: int, q: int) -> tuple:
                    for c in range(width)] for r in range(width)], dtype=np.int64)
         for k in powers
     )
-    for diff in diffs:
+    for k, diff in zip(powers, diffs):
+        if diff[:, 0].any():
+            raise InternalCheckError(f"A^{k} - I mod {q}, A the column step, has a nonzero "
+                                     "column 0, so a period would depend on e_2")
         diff.setflags(write=False)
     return diffs
 
@@ -218,109 +219,43 @@ def _law_error(tail, p: int, q: int) -> InternalCheckError:
 
 
 def _count_tail_range(n: int, p: int, N: int, lo: int, hi: int):
-    """Count irreducible tails with index in [lo, hi), by period.
+    """Count the irreducible tails whose rest has index in [lo, hi), by period.
 
-    Tails are indexed base-p^N with e_2 least significant.  They are
-    decoded in blocks of ``_BLOCK`` rows; rows with no unit entry are
-    reducible and dropped, and ``_period_census`` sorts the rest by
-    period.  All of this is int64 arithmetic, exact below ``MAX_TAILS``
-    = 2^62 tails, which ``enumerate_isoclasses`` refuses to reach.
-    Returns (tails, {period: tails}) for the slice, in plain ints.  A
-    range may cut an orbit, so a period need not divide its tail count
-    here; slices merge by addition, so the total is independent of the
-    sharding and of the block size.
+    A rest (e_3, ..., e_n) is indexed base p^N with e_3 least
+    significant, and the p^N tails sharing it have the same period,
+    because column 0 of every D_m is zero.  Rests are decoded in blocks
+    of ``_BLOCK`` columns with e_2 = 0 in row 0, and ``_period_census``
+    sorts them by period twice: those with a unit entry stand for all
+    q = p^N of their tails, those without for the q - q/p tails with e_2
+    a unit; the other q/p are reducible.  All of this is int64
+    arithmetic, exact below ``MAX_TAILS`` = 2^62 tails, which
+    ``enumerate_isoclasses`` refuses to reach.  Returns (tails, {period:
+    tails}) for the range, in plain ints.  A range may cut an orbit, so
+    a period need not divide its tail count here; ranges merge by
+    addition, so the total is independent of the split and of the
+    block size.
     """
     q = p**N
-    width = n - 1
     census: Counter[int] = Counter()
     for start in range(lo, hi, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
-        tails = np.empty((width, idx.size), dtype=np.int64)
-        for r in range(width):
-            idx, tails[r] = np.divmod(idx, q)
-        tails = tails.compress((tails % p != 0).any(axis=0), axis=1)  # no unit: reducible
-        census.update(_period_census(tails, p, q))
+        rests = np.zeros((n - 1, idx.size), dtype=np.int64)
+        for r in range(1, n - 1):
+            idx, rests[r] = np.divmod(idx, q)
+        unit = (rests % p != 0).any(axis=0)
+        for weight, kept in ((q, unit), (q - q // p, ~unit)):
+            for d, count in _period_census(rests.compress(kept, axis=1), p, q).items():
+                census[d] += weight * count
     return sum(census.values()), dict(census)
 
 
-def _shard_bounds(total_tails: int, workers: int) -> list[int]:
-    """Split [0, total_tails) into at most workers and os.cpu_count() shards.
-
-    Returns the boundaries b_0 = 0 < b_1 < ... < b_k = total_tails of
-    the k shards [b_i, b_{i+1}).  The calling process runs the first
-    shard and k - 1 child processes run the rest, so more workers than
-    cores never means more processes than cores.  Every shard holds at
-    least ``_MIN_SHARD_TAILS`` tails, so a second process starts only
-    from 2 * _MIN_SHARD_TAILS tails, and a smaller run is one shard.
-    """
-    shards = max(1, min(workers, os.cpu_count() or 1, total_tails // _MIN_SHARD_TAILS))
-    return [total_tails * i // shards for i in range(shards + 1)]
-
-
-def _shard_child(conn, n: int, p: int, N: int, lo: int, hi: int) -> None:
-    """Run shard [lo, hi) in a child process; send its result, or its exception."""
-    try:
-        message = _count_tail_range(n, p, N, lo, hi)
-    except Exception as exc:  # noqa: BLE001 - the parent re-raises it
-        message = exc
-    conn.send(message)
-
-
-def _fan_out(n: int, p: int, N: int, bounds: list[int]) -> list[tuple]:
-    """Each shard's (tails, {period: tails}), in shard order.
-
-    Every shard but the first runs in a child process started with the
-    default start method, which sends its result back over a one-way
-    pipe; the calling process runs the first shard meanwhile.  One shard
-    starts no child.  A child's exception is re-raised here, and a child
-    that ends without sending raises an error naming its shard and exit
-    code.  However this returns or raises, no child is left running.
-    """
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            recv_end, send_end = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_shard_child, args=(send_end, n, p, N, lo, hi)
-            )
-            child.start()
-            send_end.close()
-            children.append((child, recv_end, lo, hi))
-        results = [_count_tail_range(n, p, N, bounds[0], bounds[1])]
-        for child, recv_end, lo, hi in children:
-            try:
-                message = recv_end.recv()
-            except EOFError:
-                child.join()
-                raise MaxclassError(
-                    f"the process enumerating shard [{lo}, {hi}) ended with "
-                    f"exit code {child.exitcode} before sending its result"
-                ) from None
-            child.join()
-            if isinstance(message, BaseException):
-                raise message
-            results.append(message)
-        return results
-    finally:
-        for child, recv_end, _, _ in children:
-            if child.is_alive():
-                child.terminate()
-            child.join()
-            recv_end.close()
-
-
-def enumerate_isoclasses(n: int, p: int, N: int, budget: int | None = None,
-                         workers: int = 1) -> CountReport:
+def enumerate_isoclasses(n: int, p: int, N: int, budget: int | None = None) -> CountReport:
     """Count the twist isoclasses at (n, p, N) by enumerating all tails.
 
     Counts the irreducible tails of each period d and divides by d,
     since an orbit of size d holds exactly d tails, each of period d.
-    Memory stays bounded by a few blocks of tails and the tail space can
-    be sharded: with k shards (at most ``workers`` and
-    ``os.cpu_count()``, each of at least ``_MIN_SHARD_TAILS`` tails),
-    the calling process runs one and k - 1 child processes run the
-    rest.  The shards' counts per period merge by a plain sum,
-    deterministic under any sharding, and a merged count that its
+    One serial walk over the p^((n-2)N) rests covers every tail, and
+    memory stays bounded by a few blocks of rests.  A count that its
     period does not divide raises ``InternalCheckError``.  More tails
     than the budget, or ``MAX_TAILS`` = 2^62 or more, are refused before
     any work starts.
@@ -333,10 +268,7 @@ def enumerate_isoclasses(n: int, p: int, N: int, budget: int | None = None,
                  f"tails exceed the enumeration budget {budget} (override with the budget "
                  f"argument or {BUDGET_ENV_VAR}) or the exactness bound 2^62 - 1",
                  BudgetExceededError)
-    total_tails = p ** ((n - 1) * N)
-    periods: Counter[int] = Counter()
-    for _, shard_periods in _fan_out(n, p, N, _shard_bounds(total_tails, workers)):
-        periods.update(shard_periods)
+    _, periods = _count_tail_range(n, p, N, 0, p ** ((n - 2) * N))
     census: dict[int, int] = {}
     for d, tails in sorted(periods.items()):
         census[d], rest = divmod(tails, d)

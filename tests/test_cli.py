@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -197,7 +199,7 @@ def test_count_names_the_tail_count_as_a_power(capsys, monkeypatch, n, p, N, bud
     def no_work(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(counting, "_fan_out", no_work)
+    monkeypatch.setattr(counting, "_count_tail_range", no_work)
     argv = ["count", "--method", "enum", "--n", str(n), "--p", str(p), "--N", str(N)]
     assert run_cli(capsys, *argv, "--budget", str(budget)) == (
         2, "", f"error: {size} {TAIL_RULE.format(budget)}\n")
@@ -210,7 +212,6 @@ def test_count_refuses_2_to_the_62_tails_or_more(capsys, monkeypatch):
         raise AssertionError("the enumeration started")
 
     monkeypatch.setattr(counting, "_count_tail_range", no_work)
-    monkeypatch.setattr(counting.multiprocessing, "Process", no_work)
     code, out, err = run_cli(
         capsys, "count", "--n", "2", "--p", "2", "--N", "70", "--budget", str(2**80)
     )
@@ -227,13 +228,18 @@ def test_count_bad_budget_setting(capsys, monkeypatch, setting):
     assert "MAXCLASS_BUDGET" in err or "budget" in err
 
 
-@pytest.mark.parametrize("n, p, N", [(2, 5, 5), (2, 7, 4), (2, 3, 7), (4, 7, 2)])
+@pytest.mark.parametrize(
+    "n, p, N", [(2, 5, 5), (2, 7, 4), (2, 3, 7), (4, 7, 2), (3, 3, 6), (4, 5, 3), (3, 7, 4)]
+)
 def test_count_below_the_shard_floor_starts_no_process(capsys, monkeypatch, n, p, N):
+    # --threads is reserved: the enumeration runs in the calling process
+    # at every size, from 2^17 tails up too, as (3,3,6), (4,5,3) and
+    # (3,7,4) have.
     def no_process(*args, **kwargs):
-        raise AssertionError("a shard process was started")
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting.multiprocessing, "Process", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
     code, out, err = run_cli(
         capsys, "count", "--n", str(n), "--p", str(p), "--N", str(N), "--threads", "2"
     )
@@ -673,7 +679,7 @@ def test_verify_refuses_a_huge_pin_by_its_exponent(capsys, monkeypatch, suite, m
     monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
     for name in ("spec_from_tail", "build_rep"):
         monkeypatch.setattr(checks, name, no_work)
-    monkeypatch.setattr(counting, "_fan_out", no_work)
+    monkeypatch.setattr(counting, "_count_tail_range", no_work)
     n, p, N = HUGE
     assert run_cli(
         capsys, "verify", "--suite", suite, "--n", str(n), "--p", str(p), "--N", str(N)
@@ -858,12 +864,9 @@ def test_dump_rejects_a_malformed_exponent_list(capsys):
     assert err == "error: malformed exponent list '0,x'\n"
 
 
-def test_every_command_matches_its_golden_output(capsys, monkeypatch):
+def test_every_command_matches_its_golden_output(capsys):
     # Recorded on a tree where the three counting methods agree.  Each
-    # count runs serially and split in two, with two cores reported and
-    # a shard floor of one tail, so every point starts a child.
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
+    # count runs with --threads 1 and 2, which must print the same.
     for entry in json.loads((DATA_DIR / "cli_golden.json").read_text()):
         argv, expected = entry["argv"], (entry["code"], entry["stdout"], entry["stderr"])
         for threads in (["--threads", "1"], ["--threads", "2"]) if argv[0] == "count" else ([],):

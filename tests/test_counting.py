@@ -1,8 +1,6 @@
 import dataclasses
-import multiprocessing
-import os
 import random
-import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -10,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxclass import cli, counting
+from maxclass import counting
 from maxclass.checks import iter_reps
 from maxclass.counting import (
     CountReport,
     _count_tail_range,
     _period_census,
-    _shard_bounds,
     closed_form_count,
     enumerate_isoclasses,
     expected_census,
@@ -132,29 +129,6 @@ def test_series_count_at_N_zero_is_one():
         assert count_from_series(n, p, 0) == 1
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 3])
-def test_shard_count_is_capped(monkeypatch, cpus):
-    # Only the boundaries are computed: no process is started.
-    if cpus is not None:
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cap = os.cpu_count() or 1
-    for total in (2, 7, 15625):
-        bounds = _shard_bounds(total, workers=10_000)
-        assert 1 <= len(bounds) - 1 <= min(cap, total)
-        assert bounds[0] == 0 and bounds[-1] == total
-        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
-    assert len(_shard_bounds(15625, workers=1)) == 2
-
-
-def test_shard_floor_starts_a_second_process_only_from_two_floors(monkeypatch):
-    floor = counting._MIN_SHARD_TAILS
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _shard_bounds(2 * floor - 1, workers=2) == [0, 2 * floor - 1]
-    assert _shard_bounds(2 * floor, workers=2) == [0, floor, 2 * floor]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert len(_shard_bounds(4 * floor, workers=10_000)) - 1 == 3
-
-
 def test_triple_agreement_on_grid():
     for n, p, N in GRID:
         report = enumerate_isoclasses(n, p, N)
@@ -205,84 +179,6 @@ def test_against_brute_force_partition():
         assert (count, census) == (report.r_enumerated, report.orbit_census)
 
 
-def test_parallel_enumeration_is_deterministic(monkeypatch):
-    # Split two to four ways, the shards may cut orbits, so only the
-    # merged period counts need divide by their periods.  Four
-    # reported cores and a shard floor of one tail let workers=3 and 4
-    # start two and three children on any host, at every point.
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
-    for n, p, N in [(4, 5, 2), (3, 3, 5), (2, 5, 5), (3, 5, 3), (3, 3, 6)]:
-        serial = enumerate_isoclasses(n, p, N)
-        for workers in (2, 3, 4):
-            parallel = enumerate_isoclasses(n, p, N, workers=workers)
-            assert parallel == serial, (n, p, N, workers)
-            assert list(parallel.orbit_census.items()) == list(
-                serial.orbit_census.items()
-            )
-
-
-# The fault injections below reach the child shards through the patched
-# module global, which only a forked child inherits.  With workers=2 and
-# a shard floor of one tail they start one child, so two processes in all.
-fan_out_faults = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
-    reason="needs the fork start method and two cores",
-)
-
-
-def _fault_at(monkeypatch, parent_fault, child_fault):
-    """Patch _count_tail_range: shard 0 (the caller's) and the others fail as given."""
-    monkeypatch.setattr(counting, "_MIN_SHARD_TAILS", 1)
-
-    def faulty(n, p, N, lo, hi):
-        return (parent_fault if lo == 0 else child_fault)()
-
-    monkeypatch.setattr(counting, "_count_tail_range", faulty)
-
-
-@fan_out_faults
-def test_child_shard_exception_is_reraised(monkeypatch, capsys):
-    def child_fault():
-        raise InternalCheckError("orbit size law violated in a child shard")
-
-    _fault_at(monkeypatch, lambda: (0, {}), child_fault)
-    with pytest.raises(InternalCheckError, match="^orbit size law violated in a child shard$"):
-        enumerate_isoclasses(3, 5, 2, workers=2)
-    assert multiprocessing.active_children() == []
-    code = cli.main(["count", "--n", "3", "--p", "5", "--N", "2", "--threads", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "orbit size law violated in a child shard" in captured.err
-    assert multiprocessing.active_children() == []
-
-
-@fan_out_faults
-def test_child_that_dies_without_sending_is_named(monkeypatch):
-    _fault_at(monkeypatch, lambda: (0, {}), lambda: os._exit(3))
-    with pytest.raises(MaxclassError, match=r"shard \[312, 625\).*exit code 3"):
-        enumerate_isoclasses(3, 5, 2, workers=2)
-    assert multiprocessing.active_children() == []
-
-
-@fan_out_faults
-@pytest.mark.parametrize("fault", [InternalCheckError, KeyboardInterrupt])
-def test_parent_shard_fault_stops_the_children(monkeypatch, fault):
-    def parent_fault():
-        raise fault("stop")
-
-    def child_fault():
-        time.sleep(60)
-
-    _fault_at(monkeypatch, parent_fault, child_fault)
-    start = time.monotonic()
-    with pytest.raises(fault, match="^stop$"):
-        enumerate_isoclasses(3, 5, 2, workers=2)
-    assert time.monotonic() - start < 30
-    assert multiprocessing.active_children() == []
-
-
 def test_report_structure():
     report = enumerate_isoclasses(3, 5, 1)
     assert isinstance(report, CountReport)
@@ -299,16 +195,26 @@ def tail_of(idx, n, q):
     return [idx // q**i % q for i in range(n - 1)]
 
 
+def period(tail, p, q):
+    """Period of one tail under the column step, by the block kernel."""
+    census = _period_census(np.array([tail], dtype=np.int64).T, p, q)
+    assert list(census.values()) == [1]
+    return next(iter(census))
+
+
 def assert_walk_matches_orbits(n, p, N, indices):
-    """Each irreducible tail's period is its orbit size in the orbit layer."""
+    """Each tail's period is its orbit size in the orbit layer.
+
+    Irreducible means some entry is a unit mod p, the rule by which the
+    rest walk weights each rest's e_2 choices.
+    """
     pp = PrimePower(p, N)
     for idx in indices:
         tail = tail_of(idx, n, pp.dim)
         spec = spec_from_tail(n, pp, tail)
-        want = (0, {})
-        if is_irreducible_depth(spec):
-            want = (1, {len(shift_orbit(build_rep(spec, validate=False))): 1})
-        assert _count_tail_range(n, p, N, idx, idx + 1) == want, (n, p, N, tail)
+        assert is_irreducible_depth(spec) == any(e % p for e in tail), (n, p, N, tail)
+        want = len(shift_orbit(build_rep(spec, validate=False)))
+        assert period(tail, p, pp.dim) == want, (n, p, N, tail)
 
 
 def assert_range_splits(n, p, N, lo, mid, hi):
@@ -332,10 +238,10 @@ def assert_methods_agree(n, p, N):
     "n, p, N", [(2, 2, 3), (2, 3, 2), (3, 3, 2), (3, 5, 1), (4, 5, 1), (3, 3, 3)]
 )
 def test_walk_verdict_per_tail_exhaustive(n, p, N):
-    total = p ** ((n - 1) * N)
-    assert_walk_matches_orbits(n, p, N, range(total))
+    assert_walk_matches_orbits(n, p, N, range(p ** ((n - 1) * N)))
     assert_methods_agree(n, p, N)
-    assert_range_splits(n, p, N, 0, total // 3, total)
+    rests = p ** ((n - 2) * N)
+    assert_range_splits(n, p, N, 0, rests // 3, rests)
 
 
 # Every non-exceptional point (p >= n) with at most 5000 tails.
@@ -359,15 +265,25 @@ def test_walk_differential_random(point, data):
     indices = data.draw(st.lists(st.integers(0, total - 1), max_size=20))
     assert_walk_matches_orbits(n, p, N, indices)
     assert_methods_agree(n, p, N)
-    lo, mid, hi = sorted(data.draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+    rests = p ** ((n - 2) * N)
+    lo, mid, hi = sorted(data.draw(st.lists(st.integers(0, rests), min_size=3, max_size=3)))
     assert_range_splits(n, p, N, lo, mid, hi)
 
 
-def period(tail, p, q):
-    """Period of one tail under the column step, by the block kernel."""
-    census = _period_census(np.array([tail], dtype=np.int64).T, p, q)
-    assert list(census.values()) == [1]
-    return next(iter(census))
+def tail_walk(n, p, N):
+    """(tails, {period: tails}) of every irreducible tail, each one decoded and sorted."""
+    q = p**N
+    idx = np.arange(q ** (n - 1), dtype=np.int64)
+    tails = np.stack([idx // q**r % q for r in range(n - 1)])
+    census = _period_census(tails.compress((tails % p != 0).any(axis=0), axis=1), p, q)
+    return sum(census.values()), census
+
+
+def test_rest_walk_matches_the_tail_walk():
+    # The rest walk weights each rest by its e_2 choices; walking all
+    # tails one by one must give the same histogram.
+    for n, p, N in SMALL_POINTS:
+        assert _count_tail_range(n, p, N, 0, p ** ((n - 2) * N)) == tail_walk(n, p, N), (n, p, N)
 
 
 def test_orbit_size_law_rejects_return_time_not_a_power_of_p():
@@ -399,18 +315,23 @@ def test_merged_period_count_must_fill_whole_orbits(monkeypatch):
 @given(st.sampled_from(SMALL_POINTS), st.sampled_from([1, 5, 64, 4096]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_random_four_way_splits_merge_to_the_census(point, block, data):
-    # Each shard cuts orbits anywhere; only the merged counts divide.
+    # Each range of rests cuts orbits anywhere; only the merged counts divide.
     n, p, N = point
-    total = p ** ((n - 1) * N)
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+    rests = p ** ((n - 2) * N)
+    cuts = sorted(data.draw(st.lists(st.integers(0, rests), min_size=3, max_size=3)))
+    whole = counting._count_tail_range
 
-    def serial(n, p, N, bounds):
-        return [_count_tail_range(n, p, N, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    def four_way(n, p, N, lo, hi):
+        assert (lo, hi) == (0, rests)
+        bounds = [lo, *cuts, hi]
+        periods = Counter()
+        for a, b in zip(bounds, bounds[1:]):
+            periods.update(whole(n, p, N, a, b)[1])
+        return sum(periods.values()), dict(periods)
 
     with mock.patch.object(counting, "_BLOCK", block), \
-            mock.patch.object(counting, "_shard_bounds", lambda *_: [0, *cuts, total]), \
-            mock.patch.object(counting, "_fan_out", serial):
-        report = enumerate_isoclasses(n, p, N, workers=4)
+            mock.patch.object(counting, "_count_tail_range", four_way):
+        report = enumerate_isoclasses(n, p, N)
     assert report.orbit_census == expected_census(n, p, N)
 
 
@@ -459,11 +380,11 @@ def test_period_kernel_is_exact_near_the_int64_edge(n, p, N):
 def test_range_count_is_independent_of_block_size(monkeypatch, n, p, N):
     import maxclass.counting as counting
 
-    total = p ** ((n - 1) * N)
+    rests = p ** ((n - 2) * N)
     results = []
     for block in (1, 3, 4096):
         monkeypatch.setattr(counting, "_BLOCK", block)
-        for lo, hi in [(0, total), (1, total - 2), (total // 3, total // 2)]:
+        for lo, hi in [(0, rests), (1, rests - 2), (rests // 3, rests // 2)]:
             count, census = _count_tail_range(n, p, N, lo, hi)
             assert type(count) is int
             assert all(type(k) is int and type(v) is int for k, v in census.items())

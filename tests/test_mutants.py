@@ -3,7 +3,9 @@
 Each row edits one file of a copy of ``src/maxclass`` (the old text must
 occur exactly once), runs ``verify --suite <suite>`` on the default grid
 against the copy in a subprocess, and expects exactly the named
-properties to fail.  Together the rows flip every property of the
+properties to fail.  A suite that raises ``InternalCheckError`` prints
+one failed verdict "<suite>: <message>" instead, which its row names in
+place of properties.  Together the rows flip every property of the
 suites in ``PROPERTIES``.
 """
 
@@ -161,6 +163,31 @@ MUTANTS = [
         "counting", ["orbit census matches the case-split prediction"],
         id="census-one-extra-fixed-point",
     ),
+    # The rest walk: each rest stands for q tails with a unit entry and
+    # q - q/p without one.  Swapped, the first n >= 3 point leaves 4
+    # tails of period 3 at (3,3,1); dropped, every count falls short.
+    pytest.param(
+        "counting.py", "for weight, kept in ((q, unit), (q - q // p, ~unit)):",
+        "for weight, kept in ((q - q // p, unit), (q, ~unit)):",
+        "counting", ["counting: orbit size law violated: 4 tails of period 3 do not fill "
+                     "whole orbits (p=3, N=1)"],
+        id="rest-weights-swapped",
+    ),
+    pytest.param(
+        "counting.py", "for weight, kept in ((q, unit), (q - q // p, ~unit)):",
+        "for weight, kept in ((q, unit),):",
+        "counting", ["enumerated = closed form = series on the whole grid",
+                     "orbit census matches the case-split prediction"],
+        id="rests-without-a-unit-dropped",
+    ),
+    # A step difference that reads e_2 would make a rest's period
+    # depend on the e_2 it stands for; the column-0 check refuses it.
+    pytest.param(
+        "counting.py", "if c > r else 0", "if c > r else int(r > c == 0)",
+        "counting", ["counting: A^1 - I mod 3, A the column step, has a nonzero column 0, "
+                     "so a period would depend on e_2"],
+        id="step-difference-reads-e2",
+    ),
     # The series expansion feeds both suites: the counting agreement and
     # the reference coefficients.
     pytest.param(
@@ -216,11 +243,13 @@ def test_suite_catches_the_mutant(tmp_path, file, old, new, suite, expected):
         status, name = re.fullmatch(
             r"\[(PASS|FAIL)\] (.*?)(?: \(\d+ (?:specs|grid points.*)\))?", line).groups()
         verdicts[name] = status
-    assert list(verdicts) == PROPERTIES[suite], proc.stdout + proc.stderr
+    raised = not set(expected) <= set(PROPERTIES[suite])
+    assert list(verdicts) == (expected if raised else PROPERTIES[suite]), proc.stdout + proc.stderr
     assert [name for name, status in verdicts.items() if status == "FAIL"] == expected
     assert proc.returncode == 1
 
 
 def test_every_property_is_flipped_by_some_mutant():
-    flipped = {(row.values[3], name) for row in MUTANTS for name in row.values[4]}
+    flipped = {(row.values[3], name) for row in MUTANTS for name in row.values[4]
+               if name in PROPERTIES[row.values[3]]}
     assert flipped == {(suite, name) for suite, names in PROPERTIES.items() for name in names}
