@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import checks, zeta
 from .counting import closed_form_count, enumerate_isoclasses, resolve_budget
@@ -46,7 +47,9 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: every `main` call shares it, so nothing may change it."""
     parser = argparse.ArgumentParser(
         prog="maxclass",
         description="Exact twist-isoclass counts and local zeta factors "

@@ -377,6 +377,22 @@ def test_verify_counting_catches_a_wrong_closed_form(capsys, monkeypatch):
     assert "[FAIL] enumerated = closed form = series on the whole grid" in out
 
 
+def test_verify_simplex_reads_the_closed_form_up_to_the_largest_shift(capsys, monkeypatch):
+    # Wrong at exactly the largest argument the shift congruence reads, so
+    # a table taken from the recursion, or bounded below it, misses it.
+    import maxclass.checks as checks
+    from maxclass.simplex import simplex
+
+    monkeypatch.setattr(
+        checks, "simplex", lambda k, j: simplex(k, j) + ((k, j) == (6, 6 * 7**2 + 29))
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "simplex")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)"
+    ]
+
+
 @pytest.mark.parametrize(
     "golden, pin",
     [
@@ -871,6 +887,30 @@ def test_every_command_matches_its_golden_output(capsys):
         argv, expected = entry["argv"], (entry["code"], entry["stdout"], entry["stderr"])
         for threads in (["--threads", "1"], ["--threads", "2"]) if argv[0] == "count" else ([],):
             assert run_cli(capsys, *argv, *threads) == expected, argv + threads
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # The parser is built once per process; a call that fails to parse
+    # leaves nothing behind for the next call.
+    argvs = [
+        ["count", "--n", "3", "--p", "5", "--N", "2"],
+        ["count", "--n", "3", "--p", "5", "--N", "-1"],
+        ["verify", "--suite", "zeta"],
+    ]
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "maxclass.cli", *argv],
+                               capture_output=True, text=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_module_entry_point():

@@ -21,6 +21,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "maxclass"
 
 PROPERTIES = {
+    "simplex": [
+        "recursion and binomial closed form agree (k<=8, j<=64)",
+        "stacked-sum identity T_k(j+1) = sum_l T_l(j)",
+        "convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)",
+        "difference divisibility (i-j) | k!(T_k(i)-T_k(j))",
+        "shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)",
+        "vanishing T_k(p^N - 1) = 0 mod p^N (2 <= k < p)",
+        "scaled-simplex periodicity congruence",
+    ],
     "standardform": [
         "closed form = recursion on every entry",
         "last row constant (central generator is scalar)",
@@ -56,6 +65,51 @@ PROPERTIES = {
 
 # (file, old text, new text, suite, properties expected to fail)
 MUTANTS = [
+    # Row 0 of twos doubles every table entry, which keeps every linear
+    # identity of the table and breaks only its agreement with the closed form.
+    pytest.param(
+        "simplex.py", "rows = [[1] * (max_j + 1)]", "rows = [[2] * (max_j + 1)]",
+        "simplex", ["recursion and binomial closed form agree (k<=8, j<=64)"],
+        id="table-row-0-doubled",
+    ),
+    pytest.param(
+        "simplex.py", "return self.values[k][j]", "return self.values[k - 1][j]",
+        "simplex", ["stacked-sum identity T_k(j+1) = sum_l T_l(j)"],
+        id="table-value-reads-the-row-below",
+    ),
+    # An edit of simplex() below j = 65 also breaks the table's agreement
+    # with it, and while T_0 = 1 the convolution identity on its grid implies
+    # difference divisibility, so these two rows flip more than one property.
+    pytest.param(
+        "simplex.py", "    if k == 0:\n        return 1\n", "    if k == 0:\n        return 2\n",
+        "simplex", ["recursion and binomial closed form agree (k<=8, j<=64)",
+                    "convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)"],
+        id="simplex-row-0-is-2",
+    ),
+    pytest.param(
+        "simplex.py", "return math.comb(j + k - 1, k)", "return math.comb(j + k, k)",
+        "simplex", ["recursion and binomial closed form agree (k<=8, j<=64)",
+                    "convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)",
+                    "difference divisibility (i-j) | k!(T_k(i)-T_k(j))",
+                    "shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)",
+                    "scaled-simplex periodicity congruence"],
+        id="simplex-reads-one-column-late",
+    ),
+    # Wrong only past the table's range: the shift congruence reads its
+    # closed-form values up to j = 6 * 7^2 + 29 and must still see it.
+    pytest.param(
+        "simplex.py", "return math.comb(j + k - 1, k)",
+        "return math.comb(j + k - 1, k) + (j > 64)",
+        "simplex", ["shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)",
+                    "vanishing T_k(p^N - 1) = 0 mod p^N (2 <= k < p)",
+                    "scaled-simplex periodicity congruence"],
+        id="simplex-off-past-j-64",
+    ),
+    pytest.param(
+        "simplex.py", "scale = alpha * p**m", "scale = alpha * p ** (m - 1)",
+        "simplex", ["scaled-simplex periodicity congruence"],
+        id="scaled-congruence-scale-one-power-low",
+    ),
     # E[i][j+1] = E[i+1][j] + E[i][j]: the closed form and the wraparound
     # see it, while row n-1 still reads the constant row n.
     pytest.param(
