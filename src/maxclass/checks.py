@@ -4,6 +4,9 @@ Each suite re-checks the structural identities of one layer over a
 documented finite grid: full tail-space enumeration per (n, p, N) grid
 point.  The default grids are sized so that every suite finishes in
 seconds; the CLI can re-point a suite at a single (n, p, N) of its own.
+The standard-form and oracle suites take each grid point in stacks of
+tables bounded by ``_ORACLE_CHUNK`` entries (``_stacks``), and check a
+whole stack with array operations.
 """
 
 from __future__ import annotations
@@ -79,10 +82,12 @@ ORACLE_GRID: list[GridPoint] = [
     (3, 5, 1),
 ]
 ROOTLOG_CONTEXTS: list[tuple[int, int]] = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)]
-# Matrix entries (specs x n x p^N x p^N) in one stack the oracle suite
-# realizes; a larger spec goes alone.  Stacks of 64 KB keep the peak
-# memory at the unbatched suite's: 2^13 entries added 0.7 MB to a
-# `verify` run, and 2^18 added 20 MB at (3,7,2).
+# Entries in one stack of tables, for both stacked suites: the oracle
+# suite counts matrix entries (specs x n x p^N x p^N), the standard-form
+# suite table entries (specs x n x p^N).  A larger spec goes alone.
+# Oracle stacks of 64 KB keep the peak memory at the unbatched suite's:
+# 2^13 entries added 0.7 MB to a `verify` run, and 2^18 added 20 MB at
+# (3,7,2).
 _ORACLE_CHUNK = 2**12
 
 
@@ -98,6 +103,13 @@ def iter_reps(n: int, p: int, N: int):
     pp = check_table_point(n, p, N, resolve_budget())
     return (build_rep(spec_from_tail(n, pp, tail), validate=False)
             for tail in itertools.product(range(pp.dim), repeat=n - 1))
+
+
+def _stacks(reps, entries_per_spec: int):
+    """Lists of consecutive tables of at most ``_ORACLE_CHUNK`` entries, or one table each."""
+    size = max(1, _ORACLE_CHUNK // entries_per_spec)
+    while chunk := list(itertools.islice(reps, size)):
+        yield chunk
 
 
 # -- simplex -----------------------------------------------------------------
@@ -221,36 +233,35 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
     distinct_ok = True
     checked = 0
     for n, p, N in grid:
-        for rep in iter_reps(n, p, N):
-            q = rep.dim
-            spec = rep.spec
-            checked += 1
+        reps = iter_reps(n, p, N)  # refuses the point before p^N is built
+        q = p**N
+        depth_at = np.array([depth_of(e, p, N) for e in range(q)])
+        for chunk in _stacks(reps, n * q):
+            checked += len(chunk)
             try:
-                _validate_closed_form(rep)
+                _validate_closed_form(chunk)
             except InternalCheckError:
                 closed_ok = False
-            const_ok &= rep.rows[n - 1] == tuple([spec.exponents[-1]] * q)
-            col1_ok &= rep.column(1) == spec.exponents
-            if p >= n:
-                wrap_ok &= cycle_constraint_holds(spec)
-                wrap_ok &= all(
-                    rep.entry(i, 1)
-                    == (rep.entry(i + 1, 1) + rep.entry(i, q)) % q
-                    for i in range(1, n)
-                )
-            e_n, e_n1 = spec.exponents[-1], spec.exponents[-2]
-            geom_ok &= all(
-                rep.entry(n - 1, j) == (e_n1 + e_n * (j - 1)) % q
-                for j in range(1, q + 1)
-            )
-            if p >= n:
-                depths = [depth_of(e, p, N) for e in spec.exponents]
-                for i in range(2, n + 1):
-                    if depths[i - 1] == N and all(
-                        depths[k - 1] <= N - 1 for k in range(i + 1, n + 1)
-                    ):
-                        row = rep.rows[i - 2]
-                        distinct_ok &= len(set(row)) == q
+            rows = np.array([rep.rows for rep in chunk])  # specs x n x q
+            exps = np.array([rep.spec.exponents for rep in chunk])
+            # The column and entry reads stay per spec: they are the
+            # accessors these properties test.
+            col1_ok &= [rep.column(1) for rep in chunk] == [rep.spec.exponents for rep in chunk]
+            const_ok &= bool(np.all(rows[:, n - 1] == exps[:, n - 1:]))
+            geom = np.array([[rep.entry(n - 1, j) for j in range(1, q + 1)] for rep in chunk])
+            geom_ok &= bool(np.all(geom == (exps[:, n - 2:n - 1]
+                                            + exps[:, n - 1:] * np.arange(q)) % q))
+            if p < n:
+                continue
+            wrap_ok &= all(cycle_constraint_holds(rep.spec) for rep in chunk)
+            wrap_ok &= bool(np.all(rows[:, :-1, 0] == (rows[:, 1:, 0] + rows[:, :-1, -1]) % q))
+            depths = depth_at[exps]
+            for i in range(1, n):
+                # e_{i+1} primitive and every later entry shallower: row i
+                # runs through all p^N residues.
+                deepest = (depths[:, i] == N) & np.all(depths[:, i + 1:] <= N - 1, axis=1)
+                ordered = np.sort(rows[deepest, i - 1], axis=1)
+                distinct_ok &= bool(np.all(np.diff(ordered, axis=1) != 0))
     return [
         PropertyResult("closed form = recursion on every entry", closed_ok, f"{checked} specs"),
         PropertyResult("last row constant (central generator is scalar)", const_ok),
@@ -419,7 +430,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
         validate_grid_point(n, p, N)
         reps = iter_reps(n, p, N)
         q = p**N
-        while chunk := list(itertools.islice(reps, max(1, _ORACLE_CHUNK // (n * q * q)))):
+        for chunk in _stacks(reps, n * q * q):
             checked += len(chunk)
             c = oracle.realize(chunk)
             # Each residual is computed once, then read at every tolerance:

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InternalCheckError
 from .rootlog import PrimePower, check_group_index, check_table_N, depth_of
 from .simplex import simplex_row_mod
@@ -135,9 +137,10 @@ def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
 
     The table is built bottom-up by the forward recursion (row n is
     constant, then E[i][j] = E[i+1][j] + E[i][j-1]); with ``validate``
-    every entry is re-derived from the simplex closed form, which must
-    agree exactly.  The cyclic wraparound of the recursion holds iff
-    ``cycle_constraint_holds(spec)`` - automatic for p >= n.
+    every entry is re-derived from the simplex closed form, as a stack
+    of one, which must agree exactly.  The cyclic wraparound of the
+    recursion holds iff ``cycle_constraint_holds(spec)`` - automatic for
+    p >= n.
     """
     spec.pp.check_guard()
     q = spec.pp.dim
@@ -153,24 +156,34 @@ def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
         rows[i] = tuple(cur)
     rep = StandardFormRep(spec, tuple(rows))
     if validate:
-        _validate_closed_form(rep)
+        _validate_closed_form([rep])
     return rep
 
 
-def _validate_closed_form(rep: StandardFormRep) -> None:
-    spec = rep.spec
+def _validate_closed_form(reps) -> None:
+    """Re-derive every entry of a stack of tables of one (n, p, N) from the closed form.
+
+    Raises ``InternalCheckError`` naming the first entry, in stack order,
+    where the stored table and the simplex closed form disagree.
+    """
+    spec = reps[0].spec
     p, N, n = spec.pp.p, spec.pp.N, spec.n
     q = spec.pp.dim
-    tk = _cached_simplex_rows(p, N, n - 1)
-    for i in range(1, n + 1):
-        for j in range(1, q + 1):
-            want = sum(
-                spec.exponents[k - 1] * tk[k - i][j - 1] for k in range(i, n + 1)
-            ) % q
-            if rep.rows[i - 1][j - 1] != want:
-                raise InternalCheckError(
-                    f"recursion and closed form disagree at E[{i}][{j}]"
-                )
+    rows = np.array([rep.rows for rep in reps], dtype=np.int64)  # specs x n x q
+    exps = np.array([rep.spec.exponents for rep in reps], dtype=np.int64)[:, :, None]
+    tk = np.array(_cached_simplex_rows(p, N, n - 1), dtype=np.int64)
+    want = np.empty_like(rows)
+    for i in range(n):
+        # Reduced after every product, each value stays below (q-1)^2 + q,
+        # exact in int64 because the table guard (check_guard) caps q at 10^6.
+        acc = np.zeros_like(rows[:, 0])
+        for k in range(i, n):
+            acc = (acc + exps[:, k] * tk[k - i]) % q
+        want[:, i] = acc
+    bad = np.argwhere(rows != want)
+    if len(bad):
+        _, i, j = bad[0]
+        raise InternalCheckError(f"recursion and closed form disagree at E[{i + 1}][{j + 1}]")
 
 
 def cycle_constraint_holds(spec: EigenSpec) -> bool:

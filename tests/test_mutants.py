@@ -30,6 +30,10 @@ PROPERTIES = {
         "vanishing T_k(p^N - 1) = 0 mod p^N (2 <= k < p)",
         "scaled-simplex periodicity congruence",
     ],
+    "rootlog": [
+        "depth matches root-of-unity order membership",
+        "product depth bounded by max of factor depths",
+    ],
     "standardform": [
         "closed form = recursion on every entry",
         "last row constant (central generator is scalar)",
@@ -109,6 +113,24 @@ MUTANTS = [
         "simplex.py", "scale = alpha * p**m", "scale = alpha * p ** (m - 1)",
         "simplex", ["scaled-simplex periodicity congruence"],
         id="scaled-congruence-scale-one-power-low",
+    ),
+    # One level too deep on every nonzero exponent: the depths still rank
+    # the exponents as the true depths do, so the product bound holds.
+    pytest.param(
+        "rootlog.py", "    d = N\n", "    d = N + 1\n",
+        "rootlog", ["depth matches root-of-unity order membership"],
+        id="depth-one-level-too-deep",
+    ),
+    # The product bound is a theorem about the true depth, and the
+    # membership property pins depth_of on every exponent the bound
+    # reads, so no mutant of depth_of flips the bound alone.  Here
+    # zeta^a zeta^-a = 1 comes out deeper than two non-primitive factors.
+    pytest.param(
+        "rootlog.py", "    if value == 0:\n        return 0\n",
+        "    if value == 0:\n        return N\n",
+        "rootlog", ["depth matches root-of-unity order membership",
+                    "product depth bounded by max of factor depths"],
+        id="trivial-root-counted-primitive-rootlog",
     ),
     # E[i][j+1] = E[i+1][j] + E[i][j]: the closed form and the wraparound
     # see it, while row n-1 still reads the constant row n.

@@ -1,11 +1,19 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxclass.errors import GuardExceededError
+from maxclass import checks
+from maxclass.checks import STANDARD_FORM_GRID, PropertyResult, iter_reps
+from maxclass.errors import GuardExceededError, InternalCheckError
 from maxclass.rootlog import PrimePower, depth_of
 from maxclass.standard_form import (
     EigenSpec,
+    StandardFormRep,
+    _cached_simplex_rows,
+    _validate_closed_form,
     build_rep,
     cycle_constraint_holds,
     spec_from_tail,
@@ -155,3 +163,133 @@ def test_json_round_trip_fields():
     assert blob["exponents"] == [0, 1, 1]
     assert blob["rows"][2] == [1, 1, 1, 1, 1]
     assert blob["y_scalar"] == 1
+
+
+def _with_entry_changed(rep, i, j, delta=1):
+    """A copy of ``rep`` whose 0-based entry (i, j) is moved by ``delta`` mod p^N."""
+    rows = [list(row) for row in rep.rows]
+    rows[i][j] = (rows[i][j] + delta) % rep.dim
+    return StandardFormRep(rep.spec, tuple(map(tuple, rows)))
+
+
+def test_closed_form_is_exact_at_the_guard():
+    # 999983 is the largest prime under the table guard 10^6.  With
+    # e_2 = q - 1, row 1 holds (q-1)(j-1) mod q, whose products reach
+    # (q-1)^2 before they are reduced.
+    q = 999983
+    rep = build_rep(EigenSpec(2, PrimePower(q, 1), (0, q - 1)))
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"recursion and closed form disagree at E[1][{q}]")):
+        _validate_closed_form([_with_entry_changed(rep, 0, q - 1)])
+
+
+@pytest.mark.parametrize("changes", [
+    [(0, 0, 0)],
+    [(57, 2, 4)],
+    [(124, 3, 0)],
+    # The first change in stack order is named: spec first, then row, then column.
+    [(57, 2, 4), (58, 0, 0)],
+    [(57, 3, 0), (57, 2, 4)],
+    [(57, 2, 4), (57, 2, 1)],
+])
+def test_closed_form_names_the_first_bad_entry_of_a_stack(changes):
+    reps = list(iter_reps(4, 5, 1))
+    _validate_closed_form(reps)
+    for spec_index, i, j in changes:
+        reps[spec_index] = _with_entry_changed(reps[spec_index], i, j)
+    _, i, j = min(changes)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"disagree at E[{i + 1}][{j + 1}]")):
+        _validate_closed_form(reps)
+
+
+def _reference_suite(grid):
+    """The standard-form suite as a per-spec loop: one table, one entry at a time."""
+    closed_ok = const_ok = col1_ok = wrap_ok = geom_ok = distinct_ok = True
+    checked = 0
+    for n, p, N in grid:
+        for rep in iter_reps(n, p, N):
+            q = rep.dim
+            spec = rep.spec
+            checked += 1
+            tk = _cached_simplex_rows(p, N, n - 1)
+            closed_ok &= all(
+                rep.rows[i - 1][j - 1] == sum(
+                    spec.exponents[k - 1] * tk[k - i][j - 1] for k in range(i, n + 1)) % q
+                for i in range(1, n + 1)
+                for j in range(1, q + 1)
+            )
+            const_ok &= rep.rows[n - 1] == tuple([spec.exponents[-1]] * q)
+            col1_ok &= rep.column(1) == spec.exponents
+            if p >= n:
+                wrap_ok &= cycle_constraint_holds(spec)
+                wrap_ok &= all(
+                    rep.entry(i, 1) == (rep.entry(i + 1, 1) + rep.entry(i, q)) % q
+                    for i in range(1, n)
+                )
+            e_n, e_n1 = spec.exponents[-1], spec.exponents[-2]
+            geom_ok &= all(
+                rep.entry(n - 1, j) == (e_n1 + e_n * (j - 1)) % q for j in range(1, q + 1)
+            )
+            if p >= n:
+                depths = [depth_of(e, p, N) for e in spec.exponents]
+                for i in range(2, n + 1):
+                    if depths[i - 1] == N and all(
+                        depths[k - 1] <= N - 1 for k in range(i + 1, n + 1)
+                    ):
+                        distinct_ok &= len(set(rep.rows[i - 2])) == q
+    return [
+        PropertyResult("closed form = recursion on every entry", closed_ok, f"{checked} specs"),
+        PropertyResult("last row constant (central generator is scalar)", const_ok),
+        PropertyResult("column 1 reproduces the defining exponents", col1_ok),
+        PropertyResult("cycle wraparound consistent for p >= n", wrap_ok),
+        PropertyResult("row n-1 is the geometric progression of e_n", geom_ok),
+        PropertyResult("deepest-entry rows have all-distinct predecessors", distinct_ok),
+    ]
+
+
+def _stacked_verdicts(mp, grid):
+    """The stacked suite's verdicts on ``grid``, with stacks of one spec and of the default bound."""
+    default = checks._ORACLE_CHUNK
+    out = []
+    for chunk in (1, default):
+        mp.setattr(checks, "_ORACLE_CHUNK", chunk)
+        out.append(checks.suite_standard_form(grid))
+    return out
+
+
+# Every default grid point, and two exceptional primes p < n.
+DIFFERENTIAL_GRID = [*STANDARD_FORM_GRID, (3, 2, 2), (4, 3, 1)]
+
+
+@pytest.mark.parametrize("grid", [None, *([point] for point in DIFFERENTIAL_GRID)])
+def test_stacked_suite_matches_the_per_spec_loop(grid):
+    want = _reference_suite(grid or STANDARD_FORM_GRID)
+    assert all(r.passed for r in want)
+    with pytest.MonkeyPatch.context() as mp:
+        assert _stacked_verdicts(mp, grid) == [want, want]
+
+
+@given(st.sampled_from(DIFFERENTIAL_GRID), st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_suite_matches_the_per_spec_loop_on_broken_tables(point, data):
+    n, p, N = point
+    q = p**N
+    tails = list(itertools.product(range(q), repeat=n - 1))
+    changed = data.draw(st.dictionaries(
+        st.sampled_from(tails),
+        st.tuples(st.integers(0, n - 1), st.integers(0, q - 1), st.integers(1, q - 1)),
+        max_size=3,
+    ))
+
+    def build_changed(spec, validate=True):
+        rep = build_rep(spec, validate)
+        if spec.tail in changed:
+            rep = _with_entry_changed(rep, *changed[spec.tail])
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "build_rep", build_changed)
+        want = _reference_suite([point])
+        assert want[0].passed == (not changed)
+        assert _stacked_verdicts(mp, [point]) == [want, want]
