@@ -4,9 +4,13 @@ Each suite re-checks the structural identities of one layer over a
 documented finite grid: full tail-space enumeration per (n, p, N) grid
 point.  The default grids are sized so that every suite finishes in
 seconds; the CLI can re-point a suite at a single (n, p, N) of its own.
-The standard-form and oracle suites take each grid point in stacks of
-tables bounded by ``_ORACLE_CHUNK`` entries (``_stacks``), and check a
-whole stack with array operations.
+The standard-form, stability, orbit and oracle suites take each grid
+point in stacks of tables bounded by ``_ORACLE_CHUNK`` entries
+(``_stacks``): each stack is built in one ``build_stack`` call, and its
+properties are checked with array operations on the whole stack.  Only
+the per-spec accessors a property tests (columns, entries, the depth of
+a spec's tail) are read through ``StandardFormRep`` and ``EigenSpec``
+objects wrapped from the stack.
 """
 
 from __future__ import annotations
@@ -21,20 +25,18 @@ import numpy as np
 from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
 from .errors import InternalCheckError
-from .orbits import shift_orbit, shift_spec
-from .rootlog import check_family_point, check_table_point, depth_of, validate_grid_point
+from .orbits import orbit_sizes, shifted_exponents
+from .rootlog import (PrimePower, check_family_point, check_table_point, depth_of,
+                      validate_grid_point)
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
-from .stability import (
-    is_irreducible_depth,
-    is_irreducible_structural,
-    minimal_stable_index,
-    restriction_monotone,
-)
+from .stability import irreducible_depth, irreducible_structural, minimal_stable_indices
 from .standard_form import (
     EigenSpec,
+    StandardFormRep,
     _validate_closed_form,
-    build_rep,
+    build_stack,
     cycle_constraint_holds,
+    distinct_columns,
     spec_from_tail,
 )
 
@@ -82,12 +84,12 @@ ORACLE_GRID: list[GridPoint] = [
     (3, 5, 1),
 ]
 ROOTLOG_CONTEXTS: list[tuple[int, int]] = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)]
-# Entries in one stack of tables, for both stacked suites: the oracle
-# suite counts matrix entries (specs x n x p^N x p^N), the standard-form
-# suite table entries (specs x n x p^N).  A larger spec goes alone.
-# Oracle stacks of 64 KB keep the peak memory at the unbatched suite's:
-# 2^13 entries added 0.7 MB to a `verify` run, and 2^18 added 20 MB at
-# (3,7,2).
+# Entries in one stack of tables, for all four stacked suites: the oracle
+# suite counts matrix entries (specs x n x p^N x p^N), the standard-form,
+# stability and orbit suites table entries (specs x n x p^N).  A larger
+# spec goes alone.  Oracle stacks of 64 KB keep the peak memory at the
+# unbatched suite's: 2^13 entries added 0.7 MB to a `verify` run, and
+# 2^18 added 20 MB at (3,7,2).
 _ORACLE_CHUNK = 2**12
 
 
@@ -98,18 +100,46 @@ class PropertyResult:
     detail: str = ""
 
 
+def _stacks(n: int, p: int, N: int, matrices: bool = False):
+    """The modulus p^N and the point's specs (0, e_2, ..., e_n), stack by stack.
+
+    Each stack is (exponents, tables): consecutive specs in tail order,
+    one per row, and their unvalidated tables from one ``build_stack``
+    call.  A stack holds at most ``_ORACLE_CHUNK`` table entries (specs x
+    n x p^N), or with ``matrices`` matrix entries (specs x n x p^N x
+    p^N), or else one spec.  The point is refused by
+    ``check_table_point`` before p^N is built.
+    """
+    pp = check_table_point(n, p, N, resolve_budget())
+    q = pp.dim
+    size = max(1, _ORACLE_CHUNK // (n * q ** (2 if matrices else 1)))
+    tails = itertools.product(range(q), repeat=n - 1)
+
+    def stacks():
+        while chunk := list(itertools.islice(tails, size)):
+            exps = np.zeros((len(chunk), n), dtype=np.int64)
+            exps[:, 1:] = chunk
+            yield exps, build_stack(n, pp, exps)
+
+    return pp, stacks()
+
+
+def _specs(pp: PrimePower, exps: np.ndarray) -> list[EigenSpec]:
+    """The stack's specs as ``EigenSpec`` objects."""
+    n = exps.shape[1]
+    return [spec_from_tail(n, pp, e[1:]) for e in exps.tolist()]
+
+
+def _reps(pp: PrimePower, exps: np.ndarray, tables: np.ndarray) -> list[StandardFormRep]:
+    """The stack's tables as ``StandardFormRep`` objects, for the per-spec accessors."""
+    return [StandardFormRep(spec, tuple(map(tuple, rows)))
+            for spec, rows in zip(_specs(pp, exps), tables.tolist())]
+
+
 def iter_reps(n: int, p: int, N: int):
     """One unvalidated table per spec (0, e_2, ..., e_n), once `check_table_point` passes."""
-    pp = check_table_point(n, p, N, resolve_budget())
-    return (build_rep(spec_from_tail(n, pp, tail), validate=False)
-            for tail in itertools.product(range(pp.dim), repeat=n - 1))
-
-
-def _stacks(reps, entries_per_spec: int):
-    """Lists of consecutive tables of at most ``_ORACLE_CHUNK`` entries, or one table each."""
-    size = max(1, _ORACLE_CHUNK // entries_per_spec)
-    while chunk := list(itertools.islice(reps, size)):
-        yield chunk
+    pp, stacks = _stacks(n, p, N)
+    return (rep for exps, tables in stacks for rep in _reps(pp, exps, tables))
 
 
 # -- simplex -----------------------------------------------------------------
@@ -233,19 +263,18 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
     distinct_ok = True
     checked = 0
     for n, p, N in grid:
-        reps = iter_reps(n, p, N)  # refuses the point before p^N is built
-        q = p**N
+        pp, stacks = _stacks(n, p, N)  # refuses the point before p^N is built
+        q = pp.dim
         depth_at = np.array([depth_of(e, p, N) for e in range(q)])
-        for chunk in _stacks(reps, n * q):
-            checked += len(chunk)
+        for exps, rows in stacks:  # specs x n, specs x n x q
+            checked += len(exps)
             try:
-                _validate_closed_form(chunk)
+                _validate_closed_form(pp, exps, rows)
             except InternalCheckError:
                 closed_ok = False
-            rows = np.array([rep.rows for rep in chunk])  # specs x n x q
-            exps = np.array([rep.spec.exponents for rep in chunk])
             # The column and entry reads stay per spec: they are the
             # accessors these properties test.
+            chunk = _reps(pp, exps, rows)
             col1_ok &= [rep.column(1) for rep in chunk] == [rep.spec.exponents for rep in chunk]
             const_ok &= bool(np.all(rows[:, n - 1] == exps[:, n - 1:]))
             geom = np.array([[rep.entry(n - 1, j) for j in range(1, q + 1)] for rep in chunk])
@@ -283,25 +312,25 @@ def suite_stability(grid=None) -> list[PropertyResult]:
     period_ok = True
     checked = 0
     for n, p, N in grid:
-        for rep in iter_reps(n, p, N):
-            q = rep.dim
-            spec = rep.spec
-            checked += 1
-            cols = rep.columns()
-            # equal columns have equal successors iff each column has one successor
-            successor = {}
-            prop_ok &= all(
-                successor.setdefault(cols[c], cols[(c + 1) % q]) == cols[(c + 1) % q]
-                for c in range(q)
-            )
-            mono_ok &= restriction_monotone(rep)
+        pp, stacks = _stacks(n, p, N)
+        for exps, tables in stacks:
+            checked += len(exps)
+            # Equal columns have equal successors iff each column has one
+            # successor: iff pairing columns with their successors
+            # leaves the number of distinct columns unchanged.
+            pairs = np.concatenate([tables, np.roll(tables, -1, axis=2)], axis=1)
+            prop_ok &= np.array_equal(distinct_columns(tables), distinct_columns(pairs))
+            # chain[r - 1] is the minimal stable index of rows r..n.
+            chain = np.array([minimal_stable_indices(tables, pp, r) for r in range(1, n)])
+            mono_ok &= bool(np.all(chain[:-1] >= chain[1:]))
             if p >= n:
-                equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
-                max_depth = spec.max_tail_depth()
-                if max_depth < N:
-                    step = p**max_depth
-                    period_ok &= all(cols[c] == cols[(c + step) % q] for c in range(q))
-                    period_ok &= minimal_stable_index(rep) <= max_depth
+                minimal = chain[0]
+                equiv_ok &= np.array_equal(irreducible_depth(exps, p), minimal == N)
+                max_depth = np.array([spec.max_tail_depth() for spec in _specs(pp, exps)])
+                for d in range(N):
+                    shallow = tables[max_depth == d]
+                    period_ok &= np.array_equal(shallow, np.roll(shallow, -p**d, axis=2))
+                period_ok &= bool(np.all(minimal <= max_depth))
     return [
         PropertyResult(
             "depth criterion = structural criterion (p >= n)",
@@ -331,26 +360,30 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
     case_ok = True
     checked = 0
     for n, p, N in grid:
-        for rep in iter_reps(n, p, N):
-            q = rep.dim
-            checked += 1
+        pp, stacks = _stacks(n, p, N)
+        q = pp.dim
+        for exps, tables in stacks:
+            checked += len(exps)
             try:
-                shift_orbit(rep)  # raises if the orbit size is not p^m
+                orbit_sizes(tables, pp)  # raises if an orbit size is not p^m
             except InternalCheckError:
                 law_ok = False
             # The shifted specs get tables of their own, so the composition
             # is checked against a second, independent table.
-            shifted = {a: build_rep(shift_spec(rep, a), validate=False)
+            shifted = {a: build_stack(n, pp, shifted_exponents(tables, a))
                        for a in {1, q // 2, q - 1}}
             for a, table in shifted.items():
-                compose_ok &= shift_spec(table, 1) == shift_spec(rep, (a + 1) % q)
+                compose_ok &= np.array_equal(shifted_exponents(table, 1),
+                                             shifted_exponents(tables, (a + 1) % q))
             if p >= n:
                 # The one-step shift walks each orbit round, and every spec
                 # of the orbit is in the grid, so a verdict that matches its
                 # successor's on every spec is constant on every orbit.
-                nxt = shifted[1]
-                irr_ok &= is_irreducible_structural(rep) == is_irreducible_structural(nxt)
-                case_ok &= _depth_case(rep.spec) == _depth_case(nxt.spec)
+                irr_ok &= np.array_equal(irreducible_structural(tables, pp),
+                                         irreducible_structural(shifted[1], pp))
+                case_ok &= ([_depth_case(spec) for spec in _specs(pp, exps)]
+                            == [_depth_case(spec)
+                                for spec in _specs(pp, shifted_exponents(tables, 1))])
     return [
         PropertyResult("orbit size = p^(restricted minimal stable index)", law_ok,
                        f"{checked} specs"),
@@ -428,11 +461,11 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         validate_grid_point(n, p, N)
-        reps = iter_reps(n, p, N)
-        q = p**N
-        for chunk in _stacks(reps, n * q * q):
-            checked += len(chunk)
-            c = oracle.realize(chunk)
+        pp, stacks = _stacks(n, p, N, matrices=True)
+        q = pp.dim
+        for exps, tables in stacks:
+            checked += len(exps)
+            c = oracle.realize(_reps(pp, exps, tables))
             # Each residual is computed once, then read at every tolerance:
             # column 0 for the relations, column 1 + j for the j-th subspace.
             residuals = np.column_stack([
@@ -442,15 +475,15 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             relations_ok &= bool(verdicts[:, 0].all())
             tol_ok &= all(np.array_equal(residuals <= tol, verdicts) for tol in (1e-11, 1e-7))
             irreducible = oracle.commutant_dimension(c) == 1
-            structural = [is_irreducible_structural(rep) for rep in chunk]
-            equiv_ok &= irreducible.tolist() == structural == [
-                is_irreducible_depth(rep.spec) for rep in chunk]
+            # One stacked index serves the structural verdict and the subspaces.
+            minimal = minimal_stable_indices(tables, pp)
+            equiv_ok &= (np.array_equal(irreducible, minimal == N)
+                         and np.array_equal(irreducible, irreducible_depth(exps, p)))
             eigenspaces, largest = oracle.mutual_eigenspace_census(c)
             census_ok &= bool(np.all(((eigenspaces == q) & (largest == 1))[irreducible]))
-            minimal = np.array([minimal_stable_index(rep) for rep in chunk])
             stable_ok &= np.array_equal(verdicts[:, 1:], np.arange(N + 1) >= minimal[:, None])
-            shifted = oracle.realize(
-                [build_rep(shift_spec(rep, 1), validate=False) for rep in chunk])
+            nxt = shifted_exponents(tables, 1)
+            shifted = oracle.realize(_reps(pp, nxt, build_stack(n, pp, nxt)))
             shift_ok &= bool(np.all(oracle.realizes_unit_shift(c, shifted)))
     return [
         PropertyResult("matrix relations hold numerically", relations_ok, f"{checked} specs"),

@@ -18,13 +18,41 @@ separate so they can cross-check each other:
   some defining eigenvalue is a primitive p^N-th root of unity.
 
 The depth form is only valid for p >= n and is guarded accordingly.
+
+Each test works on a stack of tables (int64 specs x n x p^N, as
+``standard_form.build_stack`` makes them) or of specs, one value per
+spec; the functions on a single table or spec call it with a stack of
+one.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import InternalCheckError
-from .rootlog import validate_grid_point
+from .rootlog import PrimePower, validate_grid_point
 from .standard_form import EigenSpec, StandardFormRep
+
+
+def minimal_stable_indices(tables: np.ndarray, pp: PrimePower, first_row: int = 1) -> np.ndarray:
+    """``minimal_stable_index`` of every table of a stack (specs x n x p^N).
+
+    For j = 0, 1, ... each spec still open compares column 1 with column
+    p^j + 1 on rows first_row..n; the specs that match have their full
+    p^j-periodicity re-verified and take the index j.  The rest take N.
+    """
+    cols = tables[:, first_row - 1:].transpose(0, 2, 1)  # specs x q x rows
+    q = cols.shape[1]
+    index = np.full(len(cols), pp.N)
+    open_ = np.ones(len(cols), dtype=bool)
+    for j in range(pp.N):
+        step = pp.p**j
+        hit = open_ & np.all(cols[:, step] == cols[:, 0], axis=1)
+        if hit.any():
+            _verify_full_periodicity(cols[hit], step, q)
+            index[hit] = j
+            open_ &= ~hit
+    return index
 
 
 def minimal_stable_index(rep: StandardFormRep, first_row: int = 1) -> int:
@@ -39,20 +67,13 @@ def minimal_stable_index(rep: StandardFormRep, first_row: int = 1) -> int:
     """
     if not 1 <= first_row <= rep.n:
         raise ValueError(f"first_row {first_row} out of range [1, {rep.n}]")
-    p = rep.spec.pp.p
-    N = rep.spec.pp.N
-    q = rep.dim
-    cols = rep.columns(first_row)
-    base = cols[0]
-    for j in range(N):
-        if cols[p**j] == base:
-            _verify_full_periodicity(cols, p**j, q)
-            return j
-    return N
+    return int(minimal_stable_indices(np.array([rep.rows]), rep.spec.pp, first_row)[0])
 
 
 def _verify_full_periodicity(cols, step: int, q: int) -> None:
-    if any(cols[c] != cols[(c + step) % q] for c in range(q)):
+    """Raise unless the q columns along axis -2 of ``cols`` repeat with period ``step``."""
+    cols = np.asarray(cols)
+    if np.any(cols != cols[..., (np.arange(q) + step) % q, :]):
         raise InternalCheckError(
             "single-column test succeeded but full periodicity failed: "
             "either the implementation drifted or the table is not "
@@ -60,9 +81,22 @@ def _verify_full_periodicity(cols, step: int, q: int) -> None:
         )
 
 
+def irreducible_structural(tables: np.ndarray, pp: PrimePower) -> np.ndarray:
+    """``is_irreducible_structural`` of every table of a stack."""
+    return minimal_stable_indices(tables, pp) == pp.N
+
+
 def is_irreducible_structural(rep: StandardFormRep) -> bool:
     """True iff no proper candidate subspace is stable."""
-    return minimal_stable_index(rep, 1) == rep.spec.pp.N
+    return bool(irreducible_structural(np.array([rep.rows]), rep.spec.pp)[0])
+
+
+def irreducible_depth(exponents: np.ndarray, p: int) -> np.ndarray:
+    """The depth criterion on every spec of a stack (one (e_1, ..., e_n) per row).
+
+    The caller answers for p >= n, as ``is_irreducible_depth`` does.
+    """
+    return np.any(exponents[:, 1:] % p != 0, axis=1)
 
 
 def is_irreducible_depth(spec: EigenSpec) -> bool:
@@ -73,7 +107,7 @@ def is_irreducible_depth(spec: EigenSpec) -> bool:
     """
     p = spec.pp.p
     validate_grid_point(spec.n, p, spec.pp.N)
-    return any(e % p != 0 for e in spec.tail)
+    return bool(irreducible_depth(np.array([spec.exponents]), p)[0])
 
 
 def restriction_monotone(rep: StandardFormRep) -> bool:

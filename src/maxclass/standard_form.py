@@ -132,45 +132,54 @@ class StandardFormRep:
         }
 
 
-def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
-    """Construct the exponent table determined by ``spec``.
+def build_stack(n: int, pp: PrimePower, exponents) -> np.ndarray:
+    """The exponent tables of a stack of specs of one (n, p, N), as int64 specs x n x p^N.
 
-    The table is built bottom-up by the forward recursion (row n is
-    constant, then E[i][j] = E[i+1][j] + E[i][j-1]); with ``validate``
-    every entry is re-derived from the simplex closed form, as a stack
-    of one, which must agree exactly.  The cyclic wraparound of the
+    ``exponents`` holds one spec's (e_1, ..., e_n) per row.  Row n is
+    constant, and the recursion E[i][j+1] = E[i+1][j+1] + E[i][j] makes
+    row i its first entry e_i plus the prefix sums of row i+1 from its
+    second entry on.  The table guard is checked before anything is built.
+    """
+    pp.check_guard()
+    q = pp.dim
+    exps = np.asarray(exponents, dtype=np.int64)
+    rows = np.empty((len(exps), n, q), dtype=np.int64)
+    rows[:, n - 1] = exps[:, n - 1:]
+    for i in range(n - 2, -1, -1):
+        # A prefix sum adds at most q - 1 entries below q, so with e_i it
+        # stays below q^2 <= 10^12 under the table guard: exact in int64.
+        rows[:, i, 0] = 0
+        np.cumsum(rows[:, i + 1, 1:], axis=1, out=rows[:, i, 1:])
+        rows[:, i] += exps[:, i:i + 1]
+        rows[:, i] %= q
+    return rows
+
+
+def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
+    """Construct the exponent table determined by ``spec``, as a stack of one.
+
+    With ``validate`` every entry is re-derived from the simplex closed
+    form, which must agree exactly.  The cyclic wraparound of the
     recursion holds iff ``cycle_constraint_holds(spec)`` - automatic for
     p >= n.
     """
-    spec.pp.check_guard()
-    q = spec.pp.dim
-    n = spec.n
-    exps = spec.exponents
-    rows: list[tuple[int, ...]] = [()] * n
-    rows[n - 1] = tuple([exps[n - 1]] * q)
-    for i in range(n - 2, -1, -1):
-        above = rows[i + 1]
-        cur = [exps[i]] * q
-        for j in range(1, q):
-            cur[j] = (above[j] + cur[j - 1]) % q
-        rows[i] = tuple(cur)
-    rep = StandardFormRep(spec, tuple(rows))
+    rows = build_stack(spec.n, spec.pp, [spec.exponents])
     if validate:
-        _validate_closed_form([rep])
-    return rep
+        _validate_closed_form(spec.pp, [spec.exponents], rows)
+    return StandardFormRep(spec, tuple(map(tuple, rows[0].tolist())))
 
 
-def _validate_closed_form(reps) -> None:
+def _validate_closed_form(pp: PrimePower, exponents, tables) -> None:
     """Re-derive every entry of a stack of tables of one (n, p, N) from the closed form.
 
+    ``exponents`` holds each table's defining spec, one row per table.
     Raises ``InternalCheckError`` naming the first entry, in stack order,
     where the stored table and the simplex closed form disagree.
     """
-    spec = reps[0].spec
-    p, N, n = spec.pp.p, spec.pp.N, spec.n
-    q = spec.pp.dim
-    rows = np.array([rep.rows for rep in reps], dtype=np.int64)  # specs x n x q
-    exps = np.array([rep.spec.exponents for rep in reps], dtype=np.int64)[:, :, None]
+    p, N, q = pp.p, pp.N, pp.dim
+    rows = np.asarray(tables, dtype=np.int64)  # specs x n x q
+    exps = np.asarray(exponents, dtype=np.int64)[:, :, None]
+    n = rows.shape[1]
     tk = np.array(_cached_simplex_rows(p, N, n - 1), dtype=np.int64)
     want = np.empty_like(rows)
     for i in range(n):
@@ -184,6 +193,30 @@ def _validate_closed_form(reps) -> None:
     if len(bad):
         _, i, j = bad[0]
         raise InternalCheckError(f"recursion and closed form disagree at E[{i + 1}][{j + 1}]")
+
+
+def distinct_columns(tables: np.ndarray) -> np.ndarray:
+    """The number of distinct column tuples of each table of a stack (specs x rows x columns).
+
+    Entries are non-negative, so each column packs into as few int64
+    keys as its entries' bit length allows; one lexsort then brings equal
+    columns of a spec together.
+    """
+    specs, rows, q = tables.shape
+    cols = tables.transpose(0, 2, 1).reshape(specs * q, rows)
+    bits = max(1, int(cols.max()).bit_length())
+    per = 63 // bits
+    keys = [(cols[:, g:g + per] << (bits * np.arange(min(per, rows - g)))).sum(axis=1)
+            for g in range(0, rows, per)]
+    # The owning spec is the primary key, so sorting leaves ``owner`` in order.
+    owner = np.repeat(np.arange(specs), q)
+    order = np.lexsort((*keys, owner))
+    new = np.ones(specs * q, dtype=bool)
+    new[1:] = owner[1:] != owner[:-1]
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    return np.bincount(owner[new], minlength=specs)
 
 
 def cycle_constraint_holds(spec: EigenSpec) -> bool:

@@ -415,14 +415,14 @@ def test_verify_all_reports_a_broken_orbit_law(capsys, monkeypatch):
     import maxclass.checks as checks
     from maxclass.errors import InternalCheckError
 
-    shift_orbit = checks.shift_orbit
+    orbit_sizes = checks.orbit_sizes
 
-    def broken_for_one_spec(rep):
-        if rep.spec.tail == (1, 1):
+    def broken_for_one_spec(tables, pp):
+        if np.all(tables[:, 1:, 0] == (1, 1), axis=1).any():
             raise InternalCheckError("orbit size 1 != p^m = 9")
-        return shift_orbit(rep)
+        return orbit_sizes(tables, pp)
 
-    monkeypatch.setattr(checks, "shift_orbit", broken_for_one_spec)
+    monkeypatch.setattr(checks, "orbit_sizes", broken_for_one_spec)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "all", "--n", "3", "--p", "3", "--N", "2"
     )
@@ -440,10 +440,10 @@ def test_verify_reports_a_suite_that_raises_as_one_failure(capsys, monkeypatch):
     import maxclass.checks as checks
     from maxclass.errors import InternalCheckError
 
-    def drifted(rep, first_row=1):
+    def drifted(tables, pp, first_row=1):
         raise InternalCheckError("minimal stable index drifted")
 
-    monkeypatch.setattr(checks, "minimal_stable_index", drifted)
+    monkeypatch.setattr(checks, "minimal_stable_indices", drifted)
     code, out, err = run_cli(
         capsys, "verify", "--suite", "all", "--n", "3", "--p", "3", "--N", "2"
     )
@@ -471,19 +471,20 @@ def test_verify_reports_a_suite_that_raises_as_one_failure(capsys, monkeypatch):
 )
 def test_verify_builds_few_tables_per_spec(monkeypatch, suite, per_spec):
     import maxclass.checks as checks
-    from maxclass.standard_form import build_rep
+    from maxclass.standard_form import build_stack
 
     builds = []
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return build_rep(*args, **kwargs)
+    def counted(n, pp, exponents):
+        tables = build_stack(n, pp, exponents)
+        builds.extend(tables)
+        return tables
 
-    # Every module that holds build_rep counts, so a rebuild hidden in a
-    # helper (say, the orbit layer) shows up too.
+    # Every module that holds the builder counts, so a rebuild hidden in a
+    # helper (say, build_rep in the orbit layer) shows up too.
     for name, module in list(sys.modules.items()):
-        if name.startswith("maxclass") and getattr(module, "build_rep", None) is build_rep:
-            monkeypatch.setattr(module, "build_rep", counted)
+        if name.startswith("maxclass") and getattr(module, "build_stack", None) is build_stack:
+            monkeypatch.setattr(module, "build_stack", counted)
     results = checks.run_suite(suite, 3, 3, 2)
     assert all(r.passed for r in results)
     # orbits: its own table and one per shift offset 1, q // 2 = 4, q - 1 = 8.
@@ -494,9 +495,10 @@ def test_verify_oracle_catches_a_shift_that_skips_columns(capsys, monkeypatch):
     # Reading column 2*offset + 1 still composes additively, so only the
     # matrix conjugation can tell it from the true shift (at n >= 3).
     import maxclass.checks as checks
-    from maxclass.orbits import shift_spec
+    from maxclass.orbits import shifted_exponents
 
-    monkeypatch.setattr(checks, "shift_spec", lambda rep, offset: shift_spec(rep, 2 * offset))
+    monkeypatch.setattr(checks, "shifted_exponents",
+                        lambda tables, offset: shifted_exponents(tables, 2 * offset))
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "5", "--N", "1"
     )
@@ -556,19 +558,18 @@ def test_verify_oracle_catches_one_bad_spec_in_a_stack(capsys, monkeypatch):
     # One doctored table among the 81 of (3,3,2), stacked with sound ones:
     # the batch reductions must still report its broken relation.
     import maxclass.checks as checks
-    from maxclass.standard_form import StandardFormRep, build_rep
+    from maxclass.standard_form import build_stack
 
     doctored = []
 
-    def one_entry_off(spec, validate=True):
-        rep = build_rep(spec, validate)
-        if spec.tail != (1, 1):
-            return rep
-        doctored.append(spec)
-        first, *rest = rep.rows
-        return StandardFormRep(spec, (((first[0] + 1) % rep.dim, *first[1:]), *rest))
+    def one_entry_off(n, pp, exponents):
+        tables = build_stack(n, pp, exponents)
+        hit = np.all(np.asarray(exponents)[:, 1:] == (1, 1), axis=1)
+        doctored.extend(np.flatnonzero(hit))
+        tables[hit, 0, 0] = (tables[hit, 0, 0] + 1) % pp.dim
+        return tables
 
-    monkeypatch.setattr(checks, "build_rep", one_entry_off)
+    monkeypatch.setattr(checks, "build_stack", one_entry_off)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "3", "--N", "2"
     )
@@ -693,7 +694,7 @@ def test_verify_refuses_a_huge_pin_by_its_exponent(capsys, monkeypatch, suite, m
         raise AssertionError("a spec was built or a tail counted")
 
     monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
-    for name in ("spec_from_tail", "build_rep"):
+    for name in ("spec_from_tail", "build_stack"):
         monkeypatch.setattr(checks, name, no_work)
     monkeypatch.setattr(counting, "_count_tail_range", no_work)
     n, p, N = HUGE
@@ -751,20 +752,19 @@ def test_verify_stability_catches_equal_columns_with_different_successors(
     capsys, monkeypatch
 ):
     import maxclass.checks as checks
-    from maxclass.standard_form import StandardFormRep, build_rep
-    from maxclass.stability import is_irreducible_depth
+    from maxclass.standard_form import build_stack
+    from maxclass.stability import irreducible_depth
 
-    def last_column_repeated(spec, validate=True):
+    def last_column_repeated(n, pp, exponents):
         # On an irreducible spec every column differs from column 1, so
         # copying column q-1 into column q leaves the minimal stable index
         # at N; only the successor of the repeated column changes.
-        rep = build_rep(spec, validate)
-        if not is_irreducible_depth(spec):
-            return rep
-        rows = tuple(row[:-1] + row[-2:-1] for row in rep.rows)
-        return StandardFormRep(spec, rows)
+        tables = build_stack(n, pp, exponents)
+        irreducible = irreducible_depth(np.asarray(exponents), pp.p)
+        tables[irreducible, :, -1] = tables[irreducible, :, -2]
+        return tables
 
-    monkeypatch.setattr(checks, "build_rep", last_column_repeated)
+    monkeypatch.setattr(checks, "build_stack", last_column_repeated)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "stability", "--n", "2", "--p", "3", "--N", "2"
     )
@@ -775,12 +775,12 @@ def test_verify_stability_catches_equal_columns_with_different_successors(
 
 def test_verify_orbits_catches_a_verdict_that_varies_along_an_orbit(capsys, monkeypatch):
     import maxclass.checks as checks
-    from maxclass.stability import is_irreducible_structural
+    from maxclass.stability import irreducible_structural
 
-    def flipped_at_e2_zero(rep):
-        return is_irreducible_structural(rep) != (rep.spec.tail[0] == 0)
+    def flipped_at_e2_zero(tables, pp):
+        return irreducible_structural(tables, pp) != (tables[:, 1, 0] == 0)
 
-    monkeypatch.setattr(checks, "is_irreducible_structural", flipped_at_e2_zero)
+    monkeypatch.setattr(checks, "irreducible_structural", flipped_at_e2_zero)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "orbits", "--n", "3", "--p", "5", "--N", "1"
     )

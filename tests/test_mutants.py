@@ -135,8 +135,8 @@ MUTANTS = [
     # E[i][j+1] = E[i+1][j] + E[i][j]: the closed form and the wraparound
     # see it, while row n-1 still reads the constant row n.
     pytest.param(
-        "standard_form.py", "cur[j] = (above[j] + cur[j - 1]) % q",
-        "cur[j] = (above[j - 1] + cur[j - 1]) % q",
+        "standard_form.py", "np.cumsum(rows[:, i + 1, 1:], axis=1",
+        "np.cumsum(rows[:, i + 1, :-1], axis=1",
         "standardform", ["closed form = recursion on every entry",
                          "cycle wraparound consistent for p >= n"],
         id="recursion-reads-row-above-one-column-late",
@@ -158,8 +158,8 @@ MUTANTS = [
         id="entry-reads-one-right",
     ),
     pytest.param(
-        "standard_form.py", "rows[n - 1] = tuple([exps[n - 1]] * q)",
-        "rows[n - 1] = tuple([exps[n - 1]] * (q - 1) + [0])",
+        "standard_form.py", "    rows[:, n - 1] = exps[:, n - 1:]\n",
+        "    rows[:, n - 1] = exps[:, n - 1:]\n    rows[:, n - 1, -1] = 0\n",
         "standardform", ["closed form = recursion on every entry",
                          "last row constant (central generator is scalar)",
                          "cycle wraparound consistent for p >= n",
@@ -174,7 +174,7 @@ MUTANTS = [
         id="trivial-root-counted-primitive",
     ),
     pytest.param(
-        "stability.py", "for e in spec.tail)", "for e in spec.tail[1:])",
+        "stability.py", "np.any(exponents[:, 1:] % p", "np.any(exponents[:, 2:] % p",
         "stability", ["depth criterion = structural criterion (p >= n)"],
         id="depth-criterion-skips-e2",
     ),
@@ -182,10 +182,10 @@ MUTANTS = [
     # drift check trips before the propagation property sees the table.
     pytest.param(
         "standard_form.py",
-        "    rep = StandardFormRep(spec, tuple(rows))\n",
-        "    if exps[-1] % spec.pp.p:\n"
-        "        rows = [row[:-1] + row[-2:-1] for row in rows]\n"
-        "    rep = StandardFormRep(spec, tuple(rows))\n",
+        "    return rows\n",
+        "    unit = exps[:, -1] % pp.p != 0\n"
+        "    rows[unit, :, -1] = rows[unit, :, -2]\n"
+        "    return rows\n",
         "stability", ["column equality propagates one step right"],
         id="last-column-repeated",
     ),
@@ -193,8 +193,8 @@ MUTANTS = [
     # 2..n then drops below that of rows 3..n, while the full index still
     # bounds every restriction: only the whole chain r = 1..n-1 sees it.
     pytest.param(
-        "stability.py", "cols = rep.columns(first_row)",
-        "cols = rep.columns(rep.n if first_row == 2 else first_row)",
+        "stability.py", "cols = tables[:, first_row - 1:]",
+        "cols = tables[:, (tables.shape[1] - 1 if first_row == 2 else first_row - 1):]",
         "stability", ["restriction can only lower the minimal stable index"],
         id="restriction-to-row-2-reads-row-n",
     ),
@@ -204,23 +204,23 @@ MUTANTS = [
         id="max-tail-depth-takes-min",
     ),
     pytest.param(
-        "orbits.py", "m = minimal_stable_index(rep, first_row=2)",
-        "m = minimal_stable_index(rep, first_row=1)",
+        "orbits.py", "minimal_stable_indices(tables, pp, first_row=2)",
+        "minimal_stable_indices(tables, pp, first_row=1)",
         "orbits", ["orbit size = p^(restricted minimal stable index)"],
         id="orbit-law-unrestricted",
     ),
     pytest.param(
-        "orbits.py", "rep.column(offset + 1, first_row=2)",
-        "rep.column(offset + 2, first_row=2)",
+        "orbits.py", "tables[:, 1:, offset % tables.shape[2]]",
+        "tables[:, 1:, (offset + 1) % tables.shape[2]]",
         "orbits", ["shifts compose additively mod p^N"],
         id="shift-off-by-one",
     ),
     # A verdict computed from the table alone is a function of the
     # shift-invariant minimal stable index, so it has to read the spec's
-    # exponents to vary along an orbit.
+    # exponents (column 1 of the table) to vary along an orbit.
     pytest.param(
-        "stability.py", "    return minimal_stable_index(rep, 1) == rep.spec.pp.N\n",
-        "    return (minimal_stable_index(rep, 1) == rep.spec.pp.N) != (rep.spec.tail[0] == 0)\n",
+        "stability.py", "    return minimal_stable_indices(tables, pp) == pp.N\n",
+        "    return (minimal_stable_indices(tables, pp) == pp.N) != (tables[:, 1, 0] == 0)\n",
         "orbits", ["irreducibility is constant on orbits"],
         id="verdict-reads-e2",
     ),

@@ -24,6 +24,58 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
 
 
+def _trial_division(n):
+    """Reference: the trial-division primality test is_prime used to be."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_10_to_the_5():
+    assert [n for n in range(10**5) if is_prime(n) != _trial_division(n)] == []
+
+
+# Each n is a strong pseudoprime to every prime base up to some point of
+# 2, 3, 5, ..., 41 (3215031751 to 2, 3, 5 and 7), listed with a factor.
+STRONG_PSEUDOPRIMES = [
+    (2047, 23),
+    (1373653, 829),
+    (25326001, 2251),
+    (3215031751, 151),
+    (2152302898747, 6763),
+    (3474749660383, 1303),
+    (341550071728321, 10670053),
+    (3825123056546413051, 149491),
+    (318665857834031151167461, 399165290221),
+]
+
+
+@pytest.mark.parametrize("n, factor", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_strong_pseudoprimes(n, factor):
+    assert n % factor == 0 and 1 < factor < n
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match=f"^p={n} is not prime$"):
+        PrimePower(n, 1)
+
+
+def test_is_prime_decides_large_primes_quickly():
+    # Trial division took 0.76 s on 10^14 + 31 and could not finish the rest.
+    start = time.perf_counter()
+    for n in (10**14 + 31, 2**61 - 1, 10**18 + 9, 10**24 + 7):
+        assert is_prime(n)
+        assert not is_prime(n + 2)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_prime_power_validation():
     assert PrimePower(3, 2).dim == 9
     assert PrimePower(2, 0).dim == 1

@@ -1,6 +1,7 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from maxclass.standard_form import (
     _cached_simplex_rows,
     _validate_closed_form,
     build_rep,
+    build_stack,
     cycle_constraint_holds,
+    distinct_columns,
     spec_from_tail,
 )
 
@@ -155,6 +158,17 @@ def test_distinct_diagonal_property():
                     assert len(set(rep.rows[i - 2])) == q
 
 
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 12),
+       st.sampled_from([1, 3, 999982, 2**20 - 1]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_distinct_columns_counts_each_tables_column_tuples(specs, rows, q, top, seed):
+    # Few values, so columns repeat; up to 2^20 - 1, so a column of more
+    # than 3 rows packs into more than one int64 key.
+    tables = np.random.default_rng(seed).choice([0, 1, top], size=(specs, rows, q))
+    want = [len(set(zip(*table))) for table in tables.tolist()]
+    assert distinct_columns(tables).tolist() == want
+
+
 def test_json_round_trip_fields():
     spec = EigenSpec(3, PrimePower(5, 1), (0, 1, 1))
     blob = build_rep(spec).to_json_dict()
@@ -172,6 +186,12 @@ def _with_entry_changed(rep, i, j, delta=1):
     return StandardFormRep(rep.spec, tuple(map(tuple, rows)))
 
 
+def _validate(reps):
+    """``_validate_closed_form`` on the stack of ``reps``' tables."""
+    _validate_closed_form(reps[0].spec.pp, [rep.spec.exponents for rep in reps],
+                          [rep.rows for rep in reps])
+
+
 def test_closed_form_is_exact_at_the_guard():
     # 999983 is the largest prime under the table guard 10^6.  With
     # e_2 = q - 1, row 1 holds (q-1)(j-1) mod q, whose products reach
@@ -180,7 +200,20 @@ def test_closed_form_is_exact_at_the_guard():
     rep = build_rep(EigenSpec(2, PrimePower(q, 1), (0, q - 1)))
     with pytest.raises(InternalCheckError,
                        match=re.escape(f"recursion and closed form disagree at E[1][{q}]")):
-        _validate_closed_form([_with_entry_changed(rep, 0, q - 1)])
+        _validate([_with_entry_changed(rep, 0, q - 1)])
+
+
+def test_builder_is_exact_at_the_guard():
+    # Row 1 is e_2 plus the prefix sums of the constant row 2, so with
+    # e_2 = q - 1 its last sum reaches (q-1)^2, about 10^12, before it is
+    # reduced; (q-1)(j-1) = -(j-1) mod q gives every entry independently.
+    q = 999983
+    tables = build_stack(2, PrimePower(q, 1), [(0, q - 1), (0, 1)])
+    assert tables.dtype == np.int64 and tables.shape == (2, 2, q)
+    assert np.array_equal(tables[0, 0], -np.arange(q) % q)
+    assert np.array_equal(tables[1, 0], np.arange(q))
+    assert np.array_equal(tables[:, 1], np.array([[q - 1], [1]]).repeat(q, axis=1))
+    _validate_closed_form(PrimePower(q, 1), [(0, q - 1), (0, 1)], tables)
 
 
 @pytest.mark.parametrize("changes", [
@@ -194,13 +227,13 @@ def test_closed_form_is_exact_at_the_guard():
 ])
 def test_closed_form_names_the_first_bad_entry_of_a_stack(changes):
     reps = list(iter_reps(4, 5, 1))
-    _validate_closed_form(reps)
+    _validate(reps)
     for spec_index, i, j in changes:
         reps[spec_index] = _with_entry_changed(reps[spec_index], i, j)
     _, i, j = min(changes)
     with pytest.raises(InternalCheckError,
                        match=re.escape(f"disagree at E[{i + 1}][{j + 1}]")):
-        _validate_closed_form(reps)
+        _validate(reps)
 
 
 def _reference_suite(grid):
@@ -282,14 +315,16 @@ def test_stacked_suite_matches_the_per_spec_loop_on_broken_tables(point, data):
         max_size=3,
     ))
 
-    def build_changed(spec, validate=True):
-        rep = build_rep(spec, validate)
-        if spec.tail in changed:
-            rep = _with_entry_changed(rep, *changed[spec.tail])
-        return rep
+    def build_changed(n, pp, exponents):
+        tables = build_stack(n, pp, exponents)
+        for s, exps in enumerate(np.asarray(exponents).tolist()):
+            if tuple(exps[1:]) in changed:
+                i, j, delta = changed[tuple(exps[1:])]
+                tables[s, i, j] = (tables[s, i, j] + delta) % pp.dim
+        return tables
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "build_rep", build_changed)
+        mp.setattr(checks, "build_stack", build_changed)
         want = _reference_suite([point])
         assert want[0].passed == (not changed)
         assert _stacked_verdicts(mp, [point]) == [want, want]
