@@ -7,10 +7,11 @@ seconds; the CLI can re-point a suite at a single (n, p, N) of its own.
 The standard-form, stability, orbit and oracle suites take each grid
 point in stacks of tables bounded by ``_ORACLE_CHUNK`` entries
 (``_stacks``): each stack is built in one ``build_stack`` call, and its
-properties are checked with array operations on the whole stack.  Only
-the per-spec accessors a property tests (columns, entries, the depth of
-a spec's tail) are read through ``StandardFormRep`` and ``EigenSpec``
-objects wrapped from the stack.
+properties are checked with array operations on the whole stack.  The
+int64 stack is the only table format they pass on: column 1 is
+``tables[:, :, 0]``, row n-1 is ``tables[:, n - 2]``, the depth of every
+exponent is read from one ``depth_of`` lookup array per (p, N), and the
+oracle realizes the stack itself.
 """
 
 from __future__ import annotations
@@ -26,18 +27,14 @@ from . import oracle, zeta
 from .counting import closed_form_count, enumerate_isoclasses, expected_census, resolve_budget
 from .errors import InternalCheckError
 from .orbits import orbit_sizes, shifted_exponents
-from .rootlog import (PrimePower, check_family_point, check_table_point, depth_of,
-                      validate_grid_point)
+from .rootlog import check_family_point, check_table_point, depth_of, validate_grid_point
 from .simplex import SimplexTable, scaled_congruence_holds, simplex
 from .stability import irreducible_depth, irreducible_structural, minimal_stable_indices
 from .standard_form import (
-    EigenSpec,
-    StandardFormRep,
     _validate_closed_form,
     build_stack,
     cycle_constraint_holds,
     distinct_columns,
-    spec_from_tail,
 )
 
 GridPoint = tuple[int, int, int]
@@ -124,22 +121,9 @@ def _stacks(n: int, p: int, N: int, matrices: bool = False):
     return pp, stacks()
 
 
-def _specs(pp: PrimePower, exps: np.ndarray) -> list[EigenSpec]:
-    """The stack's specs as ``EigenSpec`` objects."""
-    n = exps.shape[1]
-    return [spec_from_tail(n, pp, e[1:]) for e in exps.tolist()]
-
-
-def _reps(pp: PrimePower, exps: np.ndarray, tables: np.ndarray) -> list[StandardFormRep]:
-    """The stack's tables as ``StandardFormRep`` objects, for the per-spec accessors."""
-    return [StandardFormRep(spec, tuple(map(tuple, rows)))
-            for spec, rows in zip(_specs(pp, exps), tables.tolist())]
-
-
-def iter_reps(n: int, p: int, N: int):
-    """One unvalidated table per spec (0, e_2, ..., e_n), once `check_table_point` passes."""
-    pp, stacks = _stacks(n, p, N)
-    return (rep for exps, tables in stacks for rep in _reps(pp, exps, tables))
+def _depths(p: int, N: int) -> np.ndarray:
+    """``depth_of`` of every exponent mod p^N, as a lookup array."""
+    return np.array([depth_of(e, p, N) for e in range(p**N)])
 
 
 # -- simplex -----------------------------------------------------------------
@@ -243,7 +227,7 @@ def suite_rootlog(grid=None) -> list[PropertyResult]:
     ok = True
     for p, N in ROOTLOG_CONTEXTS:
         q = p**N
-        depths = np.array([depth_of(e, p, N) for e in range(q)], dtype=np.int64)
+        depths = _depths(p, N)
         sums = np.add.outer(np.arange(q), np.arange(q)) % q
         ok &= bool(np.all(depths[sums] <= np.maximum.outer(depths, depths)))
     out.append(PropertyResult("product depth bounded by max of factor depths", ok))
@@ -265,24 +249,20 @@ def suite_standard_form(grid=None) -> list[PropertyResult]:
     for n, p, N in grid:
         pp, stacks = _stacks(n, p, N)  # refuses the point before p^N is built
         q = pp.dim
-        depth_at = np.array([depth_of(e, p, N) for e in range(q)])
+        depth_at = _depths(p, N)
         for exps, rows in stacks:  # specs x n, specs x n x q
             checked += len(exps)
             try:
                 _validate_closed_form(pp, exps, rows)
             except InternalCheckError:
                 closed_ok = False
-            # The column and entry reads stay per spec: they are the
-            # accessors these properties test.
-            chunk = _reps(pp, exps, rows)
-            col1_ok &= [rep.column(1) for rep in chunk] == [rep.spec.exponents for rep in chunk]
+            col1_ok &= np.array_equal(rows[:, :, 0], exps)
             const_ok &= bool(np.all(rows[:, n - 1] == exps[:, n - 1:]))
-            geom = np.array([[rep.entry(n - 1, j) for j in range(1, q + 1)] for rep in chunk])
-            geom_ok &= bool(np.all(geom == (exps[:, n - 2:n - 1]
-                                            + exps[:, n - 1:] * np.arange(q)) % q))
+            geom_ok &= bool(np.all(rows[:, n - 2] == (exps[:, n - 2:n - 1]
+                                                      + exps[:, n - 1:] * np.arange(q)) % q))
             if p < n:
                 continue
-            wrap_ok &= all(cycle_constraint_holds(rep.spec) for rep in chunk)
+            wrap_ok &= bool(np.all(cycle_constraint_holds(pp, exps)))
             wrap_ok &= bool(np.all(rows[:, :-1, 0] == (rows[:, 1:, 0] + rows[:, :-1, -1]) % q))
             depths = depth_at[exps]
             for i in range(1, n):
@@ -313,6 +293,7 @@ def suite_stability(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         pp, stacks = _stacks(n, p, N)
+        depth_at = _depths(p, N)
         for exps, tables in stacks:
             checked += len(exps)
             # Equal columns have equal successors iff each column has one
@@ -326,7 +307,7 @@ def suite_stability(grid=None) -> list[PropertyResult]:
             if p >= n:
                 minimal = chain[0]
                 equiv_ok &= np.array_equal(irreducible_depth(exps, p), minimal == N)
-                max_depth = np.array([spec.max_tail_depth() for spec in _specs(pp, exps)])
+                max_depth = depth_at[exps[:, 1:]].max(axis=1)
                 for d in range(N):
                     shallow = tables[max_depth == d]
                     period_ok &= np.array_equal(shallow, np.roll(shallow, -p**d, axis=2))
@@ -346,12 +327,6 @@ def suite_stability(grid=None) -> list[PropertyResult]:
 # -- orbits ------------------------------------------------------------------
 
 
-def _depth_case(spec: EigenSpec) -> tuple[int, int]:
-    p, N = spec.pp.p, spec.pp.N
-    beyond = max((depth_of(e, p, N) for e in spec.tail[1:]), default=0)
-    return spec.max_tail_depth(), beyond
-
-
 def suite_orbits(grid=None) -> list[PropertyResult]:
     grid = grid or ORBIT_GRID
     law_ok = True
@@ -362,6 +337,7 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
     for n, p, N in grid:
         pp, stacks = _stacks(n, p, N)
         q = pp.dim
+        depth_at = _depths(p, N)
         for exps, tables in stacks:
             checked += len(exps)
             try:
@@ -381,9 +357,11 @@ def suite_orbits(grid=None) -> list[PropertyResult]:
                 # successor's on every spec is constant on every orbit.
                 irr_ok &= np.array_equal(irreducible_structural(tables, pp),
                                          irreducible_structural(shifted[1], pp))
-                case_ok &= ([_depth_case(spec) for spec in _specs(pp, exps)]
-                            == [_depth_case(spec)
-                                for spec in _specs(pp, shifted_exponents(tables, 1))])
+                # The depths of e_2..e_n, of each spec and of its successor.
+                depths = depth_at[np.stack([exps, shifted_exponents(tables, 1)])[..., 1:]]
+                # A spec's depth case: its deepest exponent, and its deepest past e_2.
+                cases = (depths.max(axis=2), depths[..., 1:].max(axis=2, initial=0))
+                case_ok &= all(np.array_equal(*case) for case in cases)
     return [
         PropertyResult("orbit size = p^(restricted minimal stable index)", law_ok,
                        f"{checked} specs"),
@@ -465,7 +443,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
         q = pp.dim
         for exps, tables in stacks:
             checked += len(exps)
-            c = oracle.realize(_reps(pp, exps, tables))
+            c = oracle.realize(tables, pp)
             # Each residual is computed once, then read at every tolerance:
             # column 0 for the relations, column 1 + j for the j-th subspace.
             residuals = np.column_stack([
@@ -483,7 +461,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
             census_ok &= bool(np.all(((eigenspaces == q) & (largest == 1))[irreducible]))
             stable_ok &= np.array_equal(verdicts[:, 1:], np.arange(N + 1) >= minimal[:, None])
             nxt = shifted_exponents(tables, 1)
-            shifted = oracle.realize(_reps(pp, nxt, build_stack(n, pp, nxt)))
+            shifted = oracle.realize(build_stack(n, pp, nxt), pp)
             shift_ok &= bool(np.all(oracle.realizes_unit_shift(c, shifted)))
     return [
         PropertyResult("matrix relations hold numerically", relations_ok, f"{checked} specs"),

@@ -19,10 +19,11 @@ code paths with the exact machinery it is checking, so subspace bases
 are built from their definition and commutants from linear algebra, not
 from column-tuple bookkeeping.
 
-The work is batched: `realize` stacks the specs of one (n, p, N) along
-a leading axis (a single table gets none), and every check broadcasts
-over it, one value per spec.  A stack of S specs holds S n p^(2N)
-entries, so `checks.suite_oracle` realizes chunks of at most
+The work is batched: `realize` takes a stack of int64 tables of one
+(n, p, N), as `standard_form.build_stack` makes them, and keeps its
+leading spec axis (a lone `StandardFormRep` gets none).  Every check
+broadcasts over it, one value per spec.  A stack of S specs holds
+S n p^(2N) entries, so `checks.suite_oracle` realizes chunks of at most
 `checks._ORACLE_CHUNK` entries (or one spec), which bounds its memory.
 
 Each piece of floating-point work is done once per spec: a caller reads
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardExceededError
-from .rootlog import refuse_power
+from .rootlog import PrimePower, refuse_power
 from .standard_form import StandardFormRep
 
 DEFAULT_ORACLE_GUARD = 64
@@ -78,19 +79,20 @@ def _cycle_matrix(dim: int) -> np.ndarray:
     return np.roll(np.eye(dim, dtype=complex), 1, axis=0)
 
 
-def realize(tables: StandardFormRep | list[StandardFormRep]) -> ComplexRep:
-    """Turn exponent tables of one (n, p, N) into complex matrices.
+def realize(tables, pp: PrimePower | None = None) -> ComplexRep:
+    """Turn a stack of exponent tables of one (n, p, N) into complex matrices.
 
-    Entry j of x_i is exp(2*pi*i * E[i][j] / p^N); y sends basis vector
-    e_j to e_{j+1} cyclically.  A list of tables is stacked along a
-    leading spec axis; a single table gets none.
+    ``tables`` is specs x n x p^N, as ``build_stack`` makes them, and
+    each spec gets its own x_i along the leading axis.  Entry j of x_i
+    is exp(2*pi*i * E[i][j] / p^N); y sends basis vector e_j to e_{j+1}
+    cyclically.  A lone ``StandardFormRep`` carries its own ``pp`` and
+    gets no spec axis.
     """
-    single = isinstance(tables, StandardFormRep)
-    first = tables if single else tables[0]
-    pp = first.spec.pp
+    if isinstance(tables, StandardFormRep):
+        tables, pp = tables.rows, tables.spec.pp
     refuse_power(pp.p, pp.N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
-    dim = first.dim
-    rows = np.array(first.rows if single else [t.rows for t in tables], dtype=float)
+    dim = pp.dim
+    rows = np.asarray(tables, dtype=float)
     xs = np.zeros(rows.shape + (dim,), dtype=complex)
     xs[..., np.arange(dim), np.arange(dim)] = np.exp(2j * np.pi * rows / dim)
     return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))

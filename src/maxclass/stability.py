@@ -65,9 +65,8 @@ def minimal_stable_index(rep: StandardFormRep, first_row: int = 1) -> int:
     columns is re-verified.  V_{p^N} is the whole space, so N is the
     answer when no smaller j matches.
     """
-    if not 1 <= first_row <= rep.n:
-        raise ValueError(f"first_row {first_row} out of range [1, {rep.n}]")
-    return int(minimal_stable_indices(np.array([rep.rows]), rep.spec.pp, first_row)[0])
+    rows = rep._rows_from(first_row)  # refuses a first_row outside [1, n]
+    return int(minimal_stable_indices(np.array([rows]), rep.spec.pp)[0])
 
 
 def _verify_full_periodicity(cols, step: int, q: int) -> None:

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalCheckError
-from .rootlog import PrimePower, check_group_index, check_table_N, depth_of
+from .rootlog import PrimePower, check_group_index, check_table_N
 from .simplex import simplex_row_mod
 
 
@@ -76,9 +76,6 @@ class EigenSpec:
         """(e_2, ..., e_n) - the part twisting cannot change."""
         return self.exponents[1:]
 
-    def max_tail_depth(self) -> int:
-        return max(depth_of(e, self.pp.p, self.pp.N) for e in self.tail)
-
 
 def spec_from_tail(n: int, pp: PrimePower, tail) -> EigenSpec:
     """Build the normalized spec (0, e_2, ..., e_n) from a tail."""
@@ -111,14 +108,20 @@ class StandardFormRep:
             raise ValueError(f"row index {i} out of range [1, {self.n}]")
         return self.rows[i - 1][(j - 1) % self.dim]
 
+    def _rows_from(self, first_row: int) -> tuple[tuple[int, ...], ...]:
+        """Rows first_row..n; a first_row outside [1, n] is refused."""
+        if not 1 <= first_row <= self.n:
+            raise ValueError(f"first_row {first_row} out of range [1, {self.n}]")
+        return self.rows[first_row - 1 :]
+
     def column(self, j: int, first_row: int = 1) -> tuple[int, ...]:
         """The joint eigenvalue exponents (E[first_row][j], ..., E[n][j])."""
         j0 = (j - 1) % self.dim
-        return tuple(row[j0] for row in self.rows[first_row - 1 :])
+        return tuple(row[j0] for row in self._rows_from(first_row))
 
     def columns(self, first_row: int = 1) -> list[tuple[int, ...]]:
         """Every column (rows first_row..n), in order from column 1."""
-        return list(zip(*self.rows[first_row - 1 :]))
+        return list(zip(*self._rows_from(first_row)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -160,8 +163,8 @@ def build_rep(spec: EigenSpec, validate: bool = True) -> StandardFormRep:
 
     With ``validate`` every entry is re-derived from the simplex closed
     form, which must agree exactly.  The cyclic wraparound of the
-    recursion holds iff ``cycle_constraint_holds(spec)`` - automatic for
-    p >= n.
+    recursion holds iff ``cycle_constraint_holds`` accepts the spec -
+    automatic for p >= n.
     """
     rows = build_stack(spec.n, spec.pp, [spec.exponents])
     if validate:
@@ -219,25 +222,25 @@ def distinct_columns(tables: np.ndarray) -> np.ndarray:
     return np.bincount(owner[new], minlength=specs)
 
 
-def cycle_constraint_holds(spec: EigenSpec) -> bool:
-    """Whether the table closes up consistently around the p^N-cycle.
+def cycle_constraint_holds(pp: PrimePower, exponents) -> np.ndarray:
+    """Per spec of a stack: whether its table closes up around the p^N-cycle.
 
-    Row i wraps (E[i][1] = E[i+1][1] + E[i][p^N]) iff
+    ``exponents`` holds one spec's (e_1, ..., e_n) per row.  Row i wraps
+    (E[i][1] = E[i+1][1] + E[i][p^N]) iff
 
         sum_{k=i+2..n} e_k * T_{k-i}(p^N - 1)  ==  0   (mod p^N),
 
     and every T_d(p^N - 1) with 2 <= d <= n-1 vanishes mod p^N once
     p >= n, so for non-exceptional primes this is automatically true.
-    A False return flags a spec that does not define a representation
+    A False entry flags a spec that does not define a representation
     at this prime (only possible for p < n).
     """
-    p, N, n = spec.pp.p, spec.pp.N, spec.n
-    q = spec.pp.dim
-    tk = _cached_simplex_rows(p, N, n - 1)
+    exps = np.asarray(exponents, dtype=np.int64)
+    n, q = exps.shape[1], pp.dim
+    tk = _cached_simplex_rows(pp.p, pp.N, n - 1)
+    holds = np.ones(len(exps), dtype=bool)
     for i in range(1, n):
-        total = sum(
-            spec.exponents[k - 1] * tk[k - i][q - 1] for k in range(i + 2, n + 1)
-        ) % q
-        if total != 0:
-            return False
-    return True
+        # Each product stays below q^2 <= 10^12 under the table guard.
+        total = sum(exps[:, k - 1] * tk[k - i][q - 1] for k in range(i + 2, n + 1))
+        holds &= total % q == 0
+    return holds

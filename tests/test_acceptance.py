@@ -7,6 +7,8 @@ line per criterion (stdout is captured otherwise).
 import time
 from fractions import Fraction
 
+from reps import iter_reps
+
 from maxclass import checks, oracle
 from maxclass.counting import closed_form_count, enumerate_isoclasses, expected_census
 from maxclass.orbits import shift_orbit
@@ -98,7 +100,7 @@ def test_criterion_4_orbit_size_law():
     bad = []
     total = 0
     for n, p, N in ORBIT_GRID:
-        for rep in checks.iter_reps(n, p, N):
+        for rep in iter_reps(n, p, N):
             total += 1
             orbit = shift_orbit(rep)
             if len(orbit) != p ** minimal_stable_index(rep, first_row=2):
@@ -115,7 +117,7 @@ def test_criterion_5_irreducibility_equivalence():
     bad = []
     total = 0
     for n, p, N in EQUIVALENCE_GRID:
-        for rep in checks.iter_reps(n, p, N):
+        for rep in iter_reps(n, p, N):
             spec = rep.spec
             total += 1
             c = oracle.realize(rep)

@@ -691,11 +691,10 @@ def test_verify_refuses_a_huge_pin_by_its_exponent(capsys, monkeypatch, suite, m
     import maxclass.checks as checks
 
     def no_work(*args, **kwargs):
-        raise AssertionError("a spec was built or a tail counted")
+        raise AssertionError("a table was built or a tail counted")
 
     monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
-    for name in ("spec_from_tail", "build_stack"):
-        monkeypatch.setattr(checks, name, no_work)
+    monkeypatch.setattr(checks, "build_stack", no_work)
     monkeypatch.setattr(counting, "_count_tail_range", no_work)
     n, p, N = HUGE
     assert run_cli(
@@ -724,11 +723,11 @@ def test_verify_gridless_suites_run_at_an_exceptional_prime(capsys, suite):
 def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N):
     import maxclass.checks as checks
 
-    def no_spec(*args, **kwargs):
-        raise AssertionError("a spec was built")
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
 
     monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
-    monkeypatch.setattr(checks, "spec_from_tail", no_spec)
+    monkeypatch.setattr(checks, "build_stack", no_table)
     assert run_cli(
         capsys, "verify", "--suite", suite, "--n", str(n), "--p", str(p), "--N", str(N)
     ) == (2, "", f"error: {p}^{n * N} table cells ({p}^{(n - 1) * N} specs x {p}^{N} columns) "

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reps import iter_reps
 
 from maxclass import counting
-from maxclass.checks import iter_reps
 from maxclass.counting import (
     CountReport,
     _count_tail_range,

@@ -147,13 +147,12 @@ MUTANTS = [
         id="cycle-constraint-from-i-plus-1",
     ),
     pytest.param(
-        "standard_form.py", "        j0 = (j - 1) % self.dim\n", "        j0 = j % self.dim\n",
+        "checks.py", "rows[:, :, 0]", "rows[:, :, 1]",
         "standardform", ["column 1 reproduces the defining exponents"],
         id="column-reads-one-right",
     ),
     pytest.param(
-        "standard_form.py", "return self.rows[i - 1][(j - 1) % self.dim]",
-        "return self.rows[i - 1][j % self.dim]",
+        "checks.py", "rows[:, n - 2]", "np.roll(rows[:, n - 2], -1, axis=1)",
         "standardform", ["row n-1 is the geometric progression of e_n"],
         id="entry-reads-one-right",
     ),
@@ -199,7 +198,7 @@ MUTANTS = [
         id="restriction-to-row-2-reads-row-n",
     ),
     pytest.param(
-        "standard_form.py", "return max(depth_of", "return min(depth_of",
+        "checks.py", "depth_at[exps[:, 1:]].max(axis=1)", "depth_at[exps[:, 1:]].min(axis=1)",
         "stability", ["all-shallow specs repeat with period p^(max depth)"],
         id="max-tail-depth-takes-min",
     ),
@@ -225,7 +224,7 @@ MUTANTS = [
         id="verdict-reads-e2",
     ),
     pytest.param(
-        "standard_form.py", "return max(depth_of", "return min(depth_of",
+        "checks.py", "depths.max(axis=2)", "depths.min(axis=2)",
         "orbits", ["depth case profile is constant on orbits (p >= n)"],
         id="depth-case-takes-min",
     ),

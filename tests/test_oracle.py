@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from reps import iter_reps, stack
 from test_acceptance import EQUIVALENCE_GRID
 
 from maxclass import checks, oracle
-from maxclass.checks import ORACLE_GRID, iter_reps
+from maxclass.checks import ORACLE_GRID
 from maxclass.errors import GuardExceededError
 from maxclass.oracle import (
     DEFAULT_TOL,
@@ -27,7 +28,7 @@ from maxclass.stability import (
     is_irreducible_structural,
     minimal_stable_index,
 )
-from maxclass.standard_form import EigenSpec, build_rep
+from maxclass.standard_form import EigenSpec, build_rep, build_stack
 
 SMALL_GRID = [(2, 2, 2), (2, 3, 1), (3, 3, 1), (2, 2, 3), (3, 5, 1)]
 
@@ -200,7 +201,7 @@ def test_verdicts_stable_under_tolerance():
     # No residual lies in (1e-11, 1e-7], so every tolerance in that range
     # reads the same verdict.
     for n, p, N in [(2, 3, 1), (3, 3, 1), (2, 2, 2)]:
-        c = realize(list(iter_reps(n, p, N)))
+        c = realize(*stack(n, p, N))
         for residual in (relation_residuals(c), *(stability_residual(c, j) for j in range(N + 1))):
             assert np.array_equal(residual <= 1e-11, residual <= 1e-7)
 
@@ -218,15 +219,18 @@ def _verdicts(c, shifted):
 
 @pytest.mark.parametrize("n, p, N", ORACLE_GRID)
 def test_stack_of_one_agrees_with_the_whole_stack(n, p, N):
+    tables, pp = stack(n, p, N)
     reps = list(iter_reps(n, p, N))
     shifts = [build_rep(shift_spec(rep, 1), validate=False) for rep in reps]
-    c, shifted = realize(reps), realize(shifts)
+    shifted_tables = build_stack(n, pp, [shift.spec.exponents for shift in shifts])
+    c, shifted = realize(tables, pp), realize(shifted_tables, pp)
     assert c.xs.shape == (len(reps), n, p**N, p**N)
     whole = _verdicts(c, shifted)
     # Columns 1..3: commutant dimension, joint eigenspaces, largest one.
     assert all(row[2:4] == [p**N, 1] for row in whole if row[1] == 1)
     for s, (rep, shift) in enumerate(zip(reps, shifts)):
-        assert _verdicts(realize([rep]), realize([shift])) == [whole[s]]
+        one = slice(s, s + 1)
+        assert _verdicts(realize(tables[one], pp), realize(shifted_tables[one], pp)) == [whole[s]]
         # A single table is the unstacked case of the same functions.
         single = realize(rep)
         assert np.array_equal(single.xs, c.xs[s])
@@ -234,8 +238,8 @@ def test_stack_of_one_agrees_with_the_whole_stack(n, p, N):
 
 
 def test_a_mixed_stack_gets_one_census_per_spec():
-    reps = [build_rep(EigenSpec(3, PrimePower(5, 1), e)) for e in ((0, 0, 1), (0, 0, 0))]
-    c = realize(reps)
+    pp = PrimePower(5, 1)
+    c = realize(build_stack(3, pp, [(0, 0, 1), (0, 0, 0)]), pp)
     assert commutant_dimension(c).tolist() == [1, 5]
     eigenspaces, largest = mutual_eigenspace_census(c)
     assert list(zip(eigenspaces.tolist(), largest.tolist())) == [(5, 1), (1, 5)]
@@ -272,8 +276,8 @@ def test_oracle_suite_is_independent_of_the_chunk_size(monkeypatch):
 def test_oracle_suite_stacks_stay_under_the_chunk(monkeypatch):
     stacks = []
 
-    def recorded(tables):
-        c = realize(tables)
+    def recorded(tables, pp):
+        c = realize(tables, pp)
         stacks.append(c.xs.size)
         return c
 
@@ -309,7 +313,7 @@ def test_census_matches_the_first_member_loop(monkeypatch, tol):
     monkeypatch.setattr(oracle, "DEFAULT_TOL", tol)
     seen = set()
     for n, p, N in ORACLE_GRID:
-        c = realize(list(iter_reps(n, p, N)))
+        c = realize(*stack(n, p, N))
         eigenspaces, largest = mutual_eigenspace_census(c)
         got = list(zip(eigenspaces.tolist(), largest.tolist()))
         assert got == [_census_loop(ComplexRep(p, N, xs, c.y)) for xs in c.xs]

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reps import iter_reps
 
-from maxclass.checks import iter_reps
 from maxclass.errors import ExceptionalPrimeError
 from maxclass.orbits import shift_orbit, shift_spec
 from maxclass.rootlog import PrimePower, depth_of

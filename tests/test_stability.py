@@ -1,8 +1,9 @@
 import pytest
+from reps import iter_reps
+from test_stacked_suites import max_tail_depth
 
 from maxclass import stability
 from maxclass.errors import ExceptionalPrimeError, InternalCheckError
-from maxclass.checks import iter_reps
 from maxclass.rootlog import PrimePower
 from maxclass.stability import (
     _verify_full_periodicity,
@@ -121,7 +122,7 @@ def test_shallow_specs_repeat_early():
     for n, p, N in EXHAUSTIVE_GRID:
         q = p**N
         for rep in iter_reps(n, p, N):
-            d = rep.spec.max_tail_depth()
+            d = max_tail_depth(rep.spec)
             if d == N:
                 continue
             cols = [rep.column(c) for c in range(1, q + 1)]

@@ -4,9 +4,11 @@
 they were written before they worked on stacks: one table at a time,
 through the per-spec faces (``minimal_stable_index``,
 ``restriction_monotone``, ``is_irreducible_depth``, ``shift_orbit``,
-``shift_spec``, ``build_rep``).  Both must report the same verdicts, or
-raise the same error, as the stacked suites, with stacks of one spec and
-of the default bound.
+``shift_spec``, ``build_rep``), and through ``max_tail_depth`` and
+``_depth_case``, the per-spec depth reads the suites replaced by one
+lookup array.  Both must report the same verdicts, or raise the same
+error, as the stacked suites, with stacks of one spec and of the default
+bound.
 """
 
 import itertools
@@ -15,12 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reps import iter_reps
 
 from maxclass import checks, standard_form
-from maxclass.checks import ORBIT_GRID, STABILITY_GRID, PropertyResult, _depth_case, iter_reps
+from maxclass.checks import ORBIT_GRID, STABILITY_GRID, PropertyResult
 from maxclass.cli import main
 from maxclass.errors import InternalCheckError
 from maxclass.orbits import shift_orbit, shift_spec
+from maxclass.rootlog import depth_of
 from maxclass.stability import (
     is_irreducible_depth,
     is_irreducible_structural,
@@ -28,6 +32,18 @@ from maxclass.stability import (
     restriction_monotone,
 )
 from maxclass.standard_form import build_rep, build_stack
+
+
+def max_tail_depth(spec):
+    """The depth of the deepest of e_2, ..., e_n."""
+    return max(depth_of(e, spec.pp.p, spec.pp.N) for e in spec.tail)
+
+
+def _depth_case(spec):
+    """The deepest depth among e_2, ..., e_n, and among e_3, ..., e_n."""
+    p, N = spec.pp.p, spec.pp.N
+    beyond = max((depth_of(e, p, N) for e in spec.tail[1:]), default=0)
+    return max_tail_depth(spec), beyond
 
 
 def _reference_stability(grid):
@@ -47,7 +63,7 @@ def _reference_stability(grid):
             mono_ok &= restriction_monotone(rep)
             if p >= n:
                 equiv_ok &= is_irreducible_depth(spec) == is_irreducible_structural(rep)
-                max_depth = spec.max_tail_depth()
+                max_depth = max_tail_depth(spec)
                 if max_depth < N:
                     step = p**max_depth
                     period_ok &= all(cols[c] == cols[(c + step) % q] for c in range(q))

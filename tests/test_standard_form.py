@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reps import iter_reps
 
 from maxclass import checks
-from maxclass.checks import STANDARD_FORM_GRID, PropertyResult, iter_reps
+from maxclass.checks import STANDARD_FORM_GRID, PropertyResult
 from maxclass.errors import GuardExceededError, InternalCheckError
 from maxclass.rootlog import PrimePower, depth_of
 from maxclass.standard_form import (
@@ -106,6 +107,21 @@ def test_columns_and_entries():
     assert rep.columns() == rep.columns(1)
 
 
+def test_columns_refuse_a_first_row_outside_the_table():
+    # Rows 1..n exist; a slice from row 0 or n + 1 would wrap or come out empty.
+    rep = build_rep(EigenSpec(3, PrimePower(5, 1), (0, 1, 2)))
+    for first_row in (0, 4, 9, -1):
+        message = re.escape(f"first_row {first_row} out of range [1, 3]")
+        with pytest.raises(ValueError, match=message):
+            rep.column(1, first_row)
+        with pytest.raises(ValueError, match=message):
+            rep.columns(first_row)
+    for first_row in (1, 2, 3):
+        assert rep.column(1, first_row) == (0, 1, 2)[first_row - 1:]
+        assert len(rep.columns(first_row)) == 5
+        assert all(len(col) == 4 - first_row for col in rep.columns(first_row))
+
+
 def test_guard():
     # The table guard is 10^6: 1009^2 lies just above it, 997^2 just below.
     with pytest.raises(GuardExceededError):
@@ -117,17 +133,32 @@ def test_guard():
 def test_cycle_constraint_automatic_for_large_primes():
     for n, p, N in EXHAUSTIVE_GRID:
         for spec in all_specs(n, p, N):
-            assert cycle_constraint_holds(spec)
+            assert cycle_constraint_holds(spec.pp, [spec.exponents]).tolist() == [True]
 
 
 def test_cycle_constraint_flags_small_primes():
     # n = 3, p = 2: the wraparound of row 1 needs e_3 * T_2(q - 1) = 0 mod q,
     # and T_2(1) = 1 at N = 1, so any odd e_3 fails.
     pp = PrimePower(2, 1)
-    assert cycle_constraint_holds(EigenSpec(3, pp, (0, 1, 0)))
-    assert not cycle_constraint_holds(EigenSpec(3, pp, (0, 0, 1)))
+    assert cycle_constraint_holds(pp, [(0, 1, 0)]).tolist() == [True]
+    assert cycle_constraint_holds(pp, [(0, 0, 1)]).tolist() == [False]
     # n = 2 has no interior rows, so it holds for every prime.
-    assert cycle_constraint_holds(EigenSpec(2, pp, (0, 1)))
+    assert cycle_constraint_holds(pp, [(0, 1)]).tolist() == [True]
+
+
+@pytest.mark.parametrize("n, p, N", [(3, 2, 1), (3, 2, 2), (4, 3, 1), (5, 3, 1), (4, 5, 1)])
+def test_cycle_constraint_reads_a_whole_stack(n, p, N):
+    # One verdict per spec, as its stack of one gives it; and each verdict
+    # says whether the built table wraps around the cycle.
+    pp = PrimePower(p, N)
+    q = pp.dim
+    specs = [(0, *tail) for tail in itertools.product(range(q), repeat=n - 1)]
+    holds = cycle_constraint_holds(pp, specs)
+    assert holds.tolist() == [cycle_constraint_holds(pp, [e])[0] for e in specs]
+    rows = build_stack(n, pp, specs)
+    wraps = np.all(rows[:, :-1, 0] == (rows[:, 1:, 0] + rows[:, :-1, -1]) % q, axis=1)
+    assert np.array_equal(holds, wraps)
+    assert holds.all() == (p >= n)
 
 
 def test_geometric_row_below_scalar():
@@ -255,7 +286,7 @@ def _reference_suite(grid):
             const_ok &= rep.rows[n - 1] == tuple([spec.exponents[-1]] * q)
             col1_ok &= rep.column(1) == spec.exponents
             if p >= n:
-                wrap_ok &= cycle_constraint_holds(spec)
+                wrap_ok &= bool(cycle_constraint_holds(spec.pp, [spec.exponents])[0])
                 wrap_ok &= all(
                     rep.entry(i, 1) == (rep.entry(i + 1, 1) + rep.entry(i, q)) % q
                     for i in range(1, n)
