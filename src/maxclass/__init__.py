@@ -8,7 +8,7 @@ Irreducible p^N-dimensional representations of
 counted up to twisting and isomorphism by three independent methods,
 and packaged into local zeta factors with their functional equation and
 abscissa of convergence.  A floating-point oracle cross-checks the
-exact machinery on actual matrices.
+exact machinery on the complex eigenvalues of the realized matrices.
 """
 
 from .counting import (

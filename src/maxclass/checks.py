@@ -81,12 +81,12 @@ ORACLE_GRID: list[GridPoint] = [
     (3, 5, 1),
 ]
 ROOTLOG_CONTEXTS: list[tuple[int, int]] = [(2, 6), (3, 4), (5, 3), (7, 2), (11, 2)]
-# Entries in one stack of tables, for all four stacked suites: the oracle
-# suite counts matrix entries (specs x n x p^N x p^N), the standard-form,
-# stability and orbit suites table entries (specs x n x p^N).  A larger
-# spec goes alone.  Oracle stacks of 64 KB keep the peak memory at the
-# unbatched suite's: 2^13 entries added 0.7 MB to a `verify` run, and
-# 2^18 added 20 MB at (3,7,2).
+# Table entries (specs x n x p^N) in one stack, for all four stacked
+# suites; a larger spec goes alone.  The oracle's largest intermediates,
+# the commutant gaps and the census distances, hold p^N entries per
+# table entry.  A pinned oracle suite peaked 7.7 MB over its imports at
+# (3,7,2) and 11.6 MB at (2,2,6) with 2^12; 3.3 and 4.1 MB with 2^10,
+# which made (3,7,2) take 0.85 s instead of 0.46 s; 14 and 17 MB with 2^13.
 _ORACLE_CHUNK = 2**12
 
 
@@ -97,19 +97,19 @@ class PropertyResult:
     detail: str = ""
 
 
-def _stacks(n: int, p: int, N: int, matrices: bool = False):
+def _stacks(n: int, p: int, N: int):
     """The modulus p^N and the point's specs (0, e_2, ..., e_n), stack by stack.
 
     Each stack is (exponents, tables): consecutive specs in tail order,
     one per row, and their unvalidated tables from one ``build_stack``
     call.  A stack holds at most ``_ORACLE_CHUNK`` table entries (specs x
-    n x p^N), or with ``matrices`` matrix entries (specs x n x p^N x
-    p^N), or else one spec.  The point is refused by
-    ``check_table_point`` before p^N is built.
+    n x p^N), or else one spec; the oracle realizes the same stacks as
+    eigenvalues.  The point is refused by ``check_table_point`` before
+    p^N is built.
     """
     pp = check_table_point(n, p, N, resolve_budget())
     q = pp.dim
-    size = max(1, _ORACLE_CHUNK // (n * q ** (2 if matrices else 1)))
+    size = max(1, _ORACLE_CHUNK // (n * q))
     tails = itertools.product(range(q), repeat=n - 1)
 
     def stacks():
@@ -439,7 +439,7 @@ def suite_oracle(grid=None) -> list[PropertyResult]:
     checked = 0
     for n, p, N in grid:
         validate_grid_point(n, p, N)
-        pp, stacks = _stacks(n, p, N, matrices=True)
+        pp, stacks = _stacks(n, p, N)
         q = pp.dim
         for exps, tables in stacks:
             checked += len(exps)
@@ -490,8 +490,9 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     """Run one suite (or "all"), optionally pinned to a single grid point.
 
     A pinned n < 2 or non-prime p is refused before any suite runs, and
-    so is a pinned p < n, N < 1 or point over the table-cell budget for
-    "all", whose counting or table suites would refuse it; a single suite
+    so is a pinned p < n, N < 1, point over the table-cell budget, p^N
+    over the table guard or over the oracle guard for "all", whose
+    counting, table or oracle suites would refuse it; a single suite
     pinned at p < n runs.  A suite that raises
     ``InternalCheckError`` has found a broken identity, not bad input:
     it reports as one failed property "<suite>: <message>", and the
@@ -508,7 +509,10 @@ def run_suite(name: str, n=None, p=None, N=None) -> list[PropertyResult]:
     if pins:
         (validate_grid_point if name == "all" else check_family_point)(n, p, N)
     if pins and name == "all":
-        check_table_point(n, p, N, resolve_budget())
+        # In the order the suites would meet them: the table guard in the
+        # first table built, the oracle guard in the last suite.
+        check_table_point(n, p, N, resolve_budget()).check_guard()
+        oracle.check_guard(p, N)
     keys = (("simplex", "rootlog", "standardform", "stability", "orbits",
              "counting", "zeta", "oracle") if name == "all" else (name,))
     results = []

@@ -1,42 +1,42 @@
-"""Floating-point cross-checks on actual complex matrices.
+"""Floating-point cross-checks on complex eigenvalues.
 
 Everything else in the package reasons about exponent tables; this
-module is the independent referee.  It materializes a standard-form
-table as honest complex matrices (diagonal x_i with root-of-unity
-entries, y the p^N-cycle permutation), then re-derives the structural
-facts numerically:
+module is the independent referee.  In standard form every x_i is
+diagonal and y is the p^N-cycle (y: e_j -> e_{j+1}), so a spec is fully
+given by the diagonals d_i of the x_i, honest complex roots of unity,
+and y acts on a diagonal by a roll: y diag(v) y^-1 = diag(roll(v, 1)).
+From the d_i alone the module re-derives, numerically:
 
-* the defining relations [x_i, y] = x_{i+1} (with [u,v] = u v u^-1 v^-1
-  and y: e_j -> e_{j+1}) and centrality/scalarity of x_n;
+* the defining relations [x_i, y] = x_{i+1} (with [u,v] = u v u^-1 v^-1)
+  and centrality/scalarity of x_n;
 * irreducibility, via the dimension of the joint commutant;
 * the joint eigenspace structure of the diagonal part (count and sizes);
-* stability of the candidate subspaces, from their spanning vectors.
+* stability of the candidate subspaces, from their spanning vectors;
 * that conjugating by a cycle power, then twisting, gives the table of
   the shifted spec (the orbit layer's reading of the columns).
 
 Floating point is confined to this module on purpose: it must not share
-code paths with the exact machinery it is checking, so subspace bases
-are built from their definition and commutants from linear algebra, not
-from column-tuple bookkeeping.
+code paths with the exact machinery it is checking, so subspaces are
+read from their definition and commutants from linear algebra, not from
+column-tuple bookkeeping.
 
 The work is batched: `realize` takes a stack of int64 tables of one
 (n, p, N), as `standard_form.build_stack` makes them, and keeps its
 leading spec axis (a lone `StandardFormRep` gets none).  Every check
 broadcasts over it, one value per spec.  A stack of S specs holds
-S n p^(2N) entries, so `checks.suite_oracle` realizes chunks of at most
-`checks._ORACLE_CHUNK` entries (or one spec), which bounds its memory.
+S n p^N eigenvalues, the commutant gaps and census distances S n p^(2N)
+entries; `checks.suite_oracle` bounds them with the table suites' chunk.
 
 Each piece of floating-point work is done once per spec: a caller reads
 the relation residual and each stability residual at every tolerance,
 and judges the census only on the specs its one commutant call marks
 irreducible (the census itself takes no commutant).  Every verdict
-compares against `DEFAULT_TOL`, read when the check runs.  A candidate
-subspace's orthonormal basis is one tile of an identity, cheap enough
-to build on every call.  The commutant needs no SVD: restricted to the
-cycle commutant, the stacked commutator operator has pairwise
-orthogonal columns, so its singular values are its column norms.  The
-SVD of that operator, built on `_cycle_commutant_basis`, lives only in
-the test suite, as a differential check of that fact.
+compares against `DEFAULT_TOL`, read when the check runs.  The commutant
+needs no SVD: restricted to the cycle commutant, the stacked commutator
+operator has pairwise orthogonal columns, so its singular values are
+its column norms.  The test suite keeps the dense dim x dim forms of
+every check, and that operator's SVD on `_cycle_commutant_basis`, as
+differential references.
 """
 
 from __future__ import annotations
@@ -56,14 +56,18 @@ DEFAULT_TOL = 1e-9
 SV_THRESHOLD = 1e-8
 
 
+def check_guard(p: int, N: int) -> None:
+    """The oracle's one size rule: refuse p^N over DEFAULT_ORACLE_GUARD matrix rows."""
+    refuse_power(p, N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
+
+
 @dataclass(frozen=True)
 class ComplexRep:
-    """Stacked x_i of shape (..., n, dim, dim) and the shared cycle y."""
+    """The diagonals of the x_i, stacked as (..., n, dim); y is the dim-cycle."""
 
     p: int
     N: int
-    xs: np.ndarray
-    y: np.ndarray
+    eig: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -71,7 +75,7 @@ class ComplexRep:
 
     @property
     def n(self) -> int:
-        return self.xs.shape[-3]
+        return self.eig.shape[-2]
 
 
 def _cycle_matrix(dim: int) -> np.ndarray:
@@ -80,37 +84,35 @@ def _cycle_matrix(dim: int) -> np.ndarray:
 
 
 def realize(tables, pp: PrimePower | None = None) -> ComplexRep:
-    """Turn a stack of exponent tables of one (n, p, N) into complex matrices.
+    """Turn a stack of exponent tables of one (n, p, N) into complex eigenvalues.
 
     ``tables`` is specs x n x p^N, as ``build_stack`` makes them, and
-    each spec gets its own x_i along the leading axis.  Entry j of x_i
-    is exp(2*pi*i * E[i][j] / p^N); y sends basis vector e_j to e_{j+1}
-    cyclically.  A lone ``StandardFormRep`` carries its own ``pp`` and
-    gets no spec axis.
+    each spec gets its own diagonals along the leading axis.  Entry j of
+    x_i is exp(2*pi*i * E[i][j] / p^N).  A lone ``StandardFormRep``
+    carries its own ``pp`` and gets no spec axis.
     """
     if isinstance(tables, StandardFormRep):
         tables, pp = tables.rows, tables.spec.pp
-    refuse_power(pp.p, pp.N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
-    dim = pp.dim
+    check_guard(pp.p, pp.N)
     rows = np.asarray(tables, dtype=float)
-    xs = np.zeros(rows.shape + (dim,), dtype=complex)
-    xs[..., np.arange(dim), np.arange(dim)] = np.exp(2j * np.pi * rows / dim)
-    return ComplexRep(p=pp.p, N=pp.N, xs=xs, y=_cycle_matrix(dim))
+    return ComplexRep(p=pp.p, N=pp.N, eig=np.exp(2j * np.pi * rows / pp.dim))
 
 
 def relation_residuals(c: ComplexRep) -> np.ndarray:
     """Per spec: the largest max-entry residual over every defining relation.
 
     The relations are [x_i, y] = x_{i+1} for i < n, x_n central and x_n
-    scalar.  Diagonal unitaries invert by conjugation and y by
-    transposition, so the commutators are exact matrix products.
+    scalar.  With x_i = diag(d_i), x_i y x_i^-1 y^-1 is
+    diag(d_i * roll(conj d_i, 1)); x_n y - y x_n has entries
+    d_n[j+1] - d_n[j] on the subdiagonal and corner; and x_n - d_n[0] I
+    is d_n - d_n[0] on the diagonal.  Every other entry is exactly 0.
     """
-    xs, y = c.xs, c.y
-    lower, xn = xs[..., :-1, :, :], xs[..., -1, :, :]
+    d = c.eig
+    lower, xn = d[..., :-1, :], d[..., -1, :]
     return np.maximum.reduce([
-        np.abs(lower @ y @ lower.conj() @ y.T - xs[..., 1:, :, :]).max(axis=(-3, -2, -1)),
-        np.abs(xn @ y - y @ xn).max(axis=(-2, -1)),
-        np.abs(xn - xn[..., :1, :1] * np.eye(c.dim)).max(axis=(-2, -1)),
+        np.abs(lower * np.roll(lower.conj(), 1, axis=-1) - d[..., 1:, :]).max(axis=(-2, -1)),
+        np.abs(np.roll(xn, 1, axis=-1) - xn).max(axis=-1),
+        np.abs(xn - xn[..., :1]).max(axis=-1),
     ])
 
 
@@ -122,13 +124,14 @@ def check_relations(c: ComplexRep) -> np.ndarray:
 def realizes_unit_shift(c: ComplexRep, shifted: ComplexRep) -> np.ndarray:
     """Per spec: whether ``shifted`` is ``c`` conjugated by y, then twisted.
 
-    y^-1 x_i y must match x_i of ``shifted`` within DEFAULT_TOL for i >= 2;
-    x_1 may differ by one scalar, the twist that renormalizes e_1 to 0.
+    y^-1 x_i y = diag(roll(d_i, -1)) must match x_i of ``shifted`` within
+    DEFAULT_TOL for i >= 2; x_1 may differ by one scalar, the twist that
+    renormalizes e_1 to 0.
     """
-    conjugated = c.y.T @ c.xs @ c.y  # y^-1 = y^T
-    x1, target = conjugated[..., 0, :, :], shifted.xs[..., 0, :, :]
-    x1 *= target[..., :1, :1] / x1[..., :1, :1]  # twists conjugated in place
-    return np.abs(conjugated - shifted.xs).max(axis=(-3, -2, -1)) <= DEFAULT_TOL
+    conjugated = np.roll(c.eig, -1, axis=-1)
+    x1, target = conjugated[..., 0, :], shifted.eig[..., 0, :]
+    x1 *= target[..., :1] / x1[..., :1]  # twists conjugated in place
+    return np.abs(conjugated - shifted.eig).max(axis=(-2, -1)) <= DEFAULT_TOL
 
 
 @lru_cache(maxsize=None)
@@ -158,16 +161,15 @@ def _commutant_singular_values(c: ComplexRep) -> np.ndarray:
 
     The y-operator's kernel is the cycle commutant, spanned by the
     powers y^k / sqrt(dim) (see `_cycle_commutant_basis`).  On y^k the
-    map A -> x_i A - A x_i scales entry (c + k, c) by x_i[c + k] - x_i[c],
+    map A -> x_i A - A x_i scales entry (c + k, c) by d_i[c + k] - d_i[c],
     so column k of the stacked operator lives on the k-th cyclic
     diagonal.  Distinct diagonals are disjoint, the columns are pairwise
     orthogonal, and the singular values are the column norms:
 
-        sigma_k^2 = sum_i sum_c |x_i[c + k] - x_i[c]|^2 / dim.
+        sigma_k^2 = sum_i sum_c |d_i[c + k] - d_i[c]|^2 / dim.
     """
-    eig = np.diagonal(c.xs, axis1=-2, axis2=-1)  # (..., n, dim)
     shifted = (np.arange(c.dim)[:, None] + np.arange(c.dim)) % c.dim  # [k, c] -> c + k
-    gaps = eig[..., shifted] - eig[..., None, :]  # (..., n, dim (k), dim (c))
+    gaps = c.eig[..., shifted] - c.eig[..., None, :]  # (..., n, dim (k), dim (c))
     return np.sqrt(np.sum(gaps.real**2 + gaps.imag**2, axis=(-3, -1)) / c.dim)
 
 
@@ -183,7 +185,7 @@ def commutant_dimension(c: ComplexRep) -> np.ndarray:
 
     A value of 1 certifies irreducibility.
     """
-    refuse_power(c.p, c.N, DEFAULT_ORACLE_GUARD, _GUARD_TEXT, GuardExceededError)
+    check_guard(c.p, c.N)
     sigmas = _commutant_singular_values(c)
     top = sigmas.max(axis=-1, keepdims=True)
     nullity = np.sum(sigmas < SV_THRESHOLD * top, axis=-1)
@@ -200,9 +202,8 @@ def mutual_eigenspace_census(c: ComplexRep) -> tuple[np.ndarray, np.ndarray]:
     spec gives (p^N, 1); a reducible one gets its census too, and the
     caller, which knows the commutant, decides which specs to judge.
     """
-    sigs = np.diagonal(c.xs, axis1=-2, axis2=-1)  # (..., n, dim)
-    lead = sigs.shape[:-2]
-    sigs = sigs.reshape(-1, c.n, c.dim)
+    lead = c.eig.shape[:-2]
+    sigs = c.eig.reshape(-1, c.n, c.dim)
     close = np.max(np.abs(sigs[..., :, None] - sigs[..., None, :]), axis=1) <= DEFAULT_TOL
     # first[s, j]: vector j starts a class of spec s; sizes by first member.
     first = np.zeros(close.shape[:2], dtype=bool)
@@ -217,32 +218,24 @@ def mutual_eigenspace_census(c: ComplexRep) -> tuple[np.ndarray, np.ndarray]:
     return first.sum(axis=1).reshape(lead)[()], sizes.max(axis=1).reshape(lead)[()]
 
 
-def _stable_basis(p: int, N: int, j: int) -> np.ndarray:
-    """Spanning vectors of the j-th candidate subspace, as columns.
-
-    The seed vector is the sum of basis vectors 1, p^j + 1, 2 p^j + 1,
-    ...; the cycle orbit of the seed closes after p^j steps, giving a
-    p^j-dimensional space.  Shift s of the seed has ones exactly at the
-    rows congruent to s mod p^j, so the columns are p^(N-j) stacked
-    copies of the p^j identity.  The shifts have disjoint supports of
-    size p^(N-j), so dividing by sqrt(p^(N-j)) makes them orthonormal.
-    """
-    copies = p ** (N - j)
-    return np.tile(np.eye(p**j, dtype=complex), (copies, 1)) / np.sqrt(copies)
-
-
 def stability_residual(c: ComplexRep, j: int) -> np.ndarray:
     """Per spec: how far the generators carry the j-th candidate subspace out.
 
-    The basis is orthonormal, so this is the largest entry, over every
-    generator, of the image's share in the orthogonal complement.
+    The subspace is spanned by the cycle orbit of the seed e_1 + e_{p^j + 1}
+    + e_{2 p^j + 1} + ...: shift s of the seed is the indicator of the
+    rows congruent to s mod p^j, and the p^j shifts, divided by
+    sqrt(p^(N-j)), are an orthonormal basis.  y permutes these spanning
+    vectors, so it leaks nothing.  x_i = diag(d_i) maps shift s to d_i on
+    class s, whose share in the orthogonal complement is d_i minus its
+    class mean there; the residual is the largest such entry, over every
+    x_i, divided by sqrt(p^(N-j)).
     """
     if not 0 <= j <= c.N:
         raise ValueError(f"subspace index {j} out of range [0, {c.N}]")
-    basis = _stable_basis(c.p, c.N, j)
-    x_leak, y_leak = (np.abs(image - basis @ (basis.conj().T @ image)).max(axis=(-2, -1))
-                      for image in (c.xs @ basis, c.y @ basis))
-    return np.maximum(x_leak.max(axis=-1), y_leak)
+    copies = c.p ** (c.N - j)
+    classes = c.eig.reshape(c.eig.shape[:-1] + (copies, c.p**j))  # [..., a, s]: row a p^j + s
+    leak = np.abs(classes - classes.mean(axis=-2, keepdims=True)).max(axis=(-3, -2, -1))
+    return leak / np.sqrt(copies)
 
 
 def subspace_is_stable(c: ComplexRep, j: int) -> np.ndarray:

@@ -19,7 +19,7 @@ with T_d the d-simplex numbers.  Twisting normalizes e_1 = 0 and the
 cycle's corner scalar to 1.  Here [u, v] = u v u^-1 v^-1 and y acts on
 basis vectors by e_j -> e_{j+1} (cyclically); exactly this pairing turns
 the relation into the recursion above, and the numerical oracle checks
-it on actual matrices.
+it on the complex eigenvalues of the x_i.
 
 Columns are 1-indexed and cyclic mod p^N throughout the public API,
 mirroring the j = 1..p^N convention of the formulas; internal storage is

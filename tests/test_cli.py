@@ -734,6 +734,41 @@ def test_verify_refuses_pins_over_the_budget(capsys, monkeypatch, suite, n, p, N
                  "exceed the enumeration budget 100000000\n")
 
 
+@pytest.mark.parametrize(
+    "n, p, N, budget, message",
+    [
+        (2, 97, 2, None, "97^2 matrix rows exceed the oracle guard 64"),
+        (2, 2, 7, None, "2^7 matrix rows exceed the oracle guard 64"),
+        (3, 67, 1, None, "67^1 matrix rows exceed the oracle guard 64"),
+        # Over the table guard too, which the first table built would meet first.
+        (2, 1000003, 1, "10000000000000", "1000003^1 columns exceed the table guard 1000000"),
+    ],
+)
+def test_verify_all_refuses_pins_over_the_oracle_guard(capsys, monkeypatch, n, p, N, budget,
+                                                        message):
+    import maxclass.checks as checks
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    if budget is None:
+        monkeypatch.delenv("MAXCLASS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("MAXCLASS_BUDGET", budget)
+    monkeypatch.setattr(checks, "build_stack", no_table)
+    assert run_cli(
+        capsys, "verify", "--suite", "all", "--n", str(n), "--p", str(p), "--N", str(N)
+    ) == (2, "", f"error: {message}\n")
+
+
+def test_verify_oracle_matches_the_3_7_2_transcript(capsys):
+    # 2401 specs of dimension 49, the largest pin that CI replays.
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--n", "3", "--p", "7",
+                             "--N", "2")
+    assert (code, err) == (0, "")
+    assert out == (DATA_DIR / "verify_oracle_3_7_2.txt").read_text()
+
+
 @pytest.mark.parametrize("budget, code", [("81", 0), ("80", 2)])
 def test_verify_budget_counts_table_cells(capsys, monkeypatch, budget, code):
     # (2,3,2) has 9 specs of 9 columns each: 81 table cells.

@@ -65,6 +65,14 @@ PROPERTIES = {
         "partial-fraction middle term matches its product form",
         "series expansions hit the reference values",
     ],
+    "oracle": [
+        "matrix relations hold numerically",
+        "commutant dimension 1 = structural = depth criterion",
+        "joint eigenspace census is (p^N, 1) on irreducibles",
+        "numerical subspace stability matches the minimal index",
+        "verdicts stable across tolerances 1e-11..1e-7",
+        "cycle conjugation realizes the shift",
+    ],
 }
 
 # (file, old text, new text, suite, properties expected to fail)
@@ -295,6 +303,46 @@ MUTANTS = [
         "pt = BivariatePolynomial.monomial(1, 2, 1)",
         "zeta", ["partial-fraction middle term matches its product form"],
         id="partial-fractions-numerator",
+    ),
+    # y diag(v) y^-1 is diag(roll(v, 1)); rolled the other way, the
+    # commutators come out O(1) wrong, far from every tolerance.
+    pytest.param(
+        "oracle.py", "np.roll(lower.conj(), 1, axis=-1)", "np.roll(lower.conj(), -1, axis=-1)",
+        "oracle", ["matrix relations hold numerically"],
+        id="commutator-rolls-the-wrong-way",
+    ),
+    # Summed over the columns of each cyclic diagonal instead of within
+    # it, every nonconstant spec has nullity 0 and none reads as
+    # irreducible; the census is then judged on no spec at all.
+    pytest.param(
+        "oracle.py", "axis=(-3, -1)", "axis=(-3, -2)",
+        "oracle", ["commutant dimension 1 = structural = depth criterion"],
+        id="commutant-sums-the-wrong-axis",
+    ),
+    pytest.param(
+        "oracle.py", "axis=1) <= DEFAULT_TOL", "axis=1) <= 1.5",
+        "oracle", ["joint eigenspace census is (p^N, 1) on irreducibles"],
+        id="census-tolerance-literal",
+    ),
+    # The mean over the residue classes' members, taken over the classes
+    # instead: the whole space (one member per class) leaks.
+    pytest.param(
+        "oracle.py", "classes.mean(axis=-2, keepdims=True)",
+        "classes.mean(axis=-1, keepdims=True)",
+        "oracle", ["numerical subspace stability matches the minimal index"],
+        id="class-mean-over-the-wrong-axis",
+    ),
+    # pi to ten decimals: an exponent that wraps mod p^N leaves a
+    # residual of about 1e-10, inside the default tolerance but not 1e-11.
+    pytest.param(
+        "oracle.py", "np.exp(2j * np.pi * rows", "np.exp(2j * 3.1415926535 * rows",
+        "oracle", ["verdicts stable across tolerances 1e-11..1e-7"],
+        id="pi-to-ten-decimals",
+    ),
+    pytest.param(
+        "oracle.py", "np.roll(c.eig, -1, axis=-1)", "np.roll(c.eig, 1, axis=-1)",
+        "oracle", ["cycle conjugation realizes the shift"],
+        id="conjugation-rolls-the-wrong-way",
     ),
 ]
 
