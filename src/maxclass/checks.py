@@ -140,46 +140,37 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
         ok = False
     out.append(PropertyResult("recursion and binomial closed form agree (k<=8, j<=64)", ok))
 
-    ok = all(
-        table.value(k, j + 1) == sum(table.value(l, j) for l in range(k + 1))
-        for k in range(9)
-        for j in range(64)
-    )
+    # The recursion table read once: V[k, j] = T_k(j), k <= 8, j <= 64.
+    V = np.array([[table.value(k, j) for j in range(65)] for k in range(9)], dtype=np.int64)
+    ok = bool(np.all(np.cumsum(V[:, :-1], axis=0) == V[:, 1:]))
     out.append(PropertyResult("stacked-sum identity T_k(j+1) = sum_l T_l(j)", ok))
 
     # Closed-form rows up to the shift congruence's largest argument, 6 * 7^2 + 29.
-    T = [[simplex(k, j) for j in range(6 * 7**2 + 30)] for k in range(7)]
+    # int64 is exact throughout: T_6(323) = C(328, 6) < 1.7e12 is the largest
+    # value, T_6(40) < 8.2e6 bounds the convolution's products and sums, and
+    # 6! T_6(40) < 5.9e9 the scaled differences, all far below 2^63.
+    T = np.array([[simplex(k, j) for j in range(6 * 7**2 + 30)] for k in range(7)],
+                 dtype=np.int64)
 
-    ok = True
-    for k in range(7):
-        pairs = [(T[l], T[k - l]) for l in range(k + 1)]
-        for i in range(21):
-            rhs = [0] * 21
-            for a, b in pairs:
-                x = a[i]
-                rhs = [r + x * y for r, y in zip(rhs, b)]
-            ok &= T[k][i:i + 21] == rhs
+    i = np.arange(21)
+    ok = all(
+        np.array_equal(T[:k + 1, :21].T @ T[k::-1, :21], T[k][np.add.outer(i, i)])
+        for k in range(7)
+    )
     out.append(PropertyResult("convolution identity T_k(i+j) = sum T_l(i) T_{k-l}(j)", ok))
 
-    ok = True
-    for k in range(7):
-        scaled = [math.factorial(k) * t for t in T[k][:41]]
-        ok &= not any([
-            (scaled[i] - scaled[j]) % (i - j)
-            for i in range(41)
-            for j in range(41)
-            if i != j
-        ])
+    i = np.arange(41)
+    gaps = np.subtract.outer(i, i)
+    scaled = np.array([math.factorial(k) for k in range(7)])[:, None] * T[:, :41]
+    diffs = scaled[:, :, None] - scaled[:, None, :]
+    ok = not np.any(diffs % np.where(gaps == 0, 1, gaps))
     out.append(PropertyResult("difference divisibility (i-j) | k!(T_k(i)-T_k(j))", ok))
 
-    ok = all(
-        T[k][alpha * p**b + j] % p**b == T[k][j] % p**b
-        for p in (5, 7)
-        for k in range(1, p)
-        for b in (1, 2)
-        for alpha in range(1, p)
-        for j in range(0, 30)
-    )
+    ok = True
+    for p in (5, 7):
+        for b in (1, 2):
+            shifts = np.add.outer(np.arange(1, p) * p**b, np.arange(30))  # a p^b + j
+            ok &= bool(np.all(T[1:p, shifts] % p**b == T[1:p, None, :30] % p**b))
     out.append(PropertyResult("shift congruence T_k(a p^b + j) = T_k(j) mod p^b (k < p)", ok))
 
     ok = all(
@@ -193,12 +184,11 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
     )
 
     ok = all(
-        scaled_congruence_holds(k, p, N, m, alpha)
+        scaled_congruence_holds(
+            k, p, N, [(m, alpha) for m in range(1, N + 1) for alpha in (1, 2, p + 1)])
         for p in (3, 5)
         for N in (1, 2, 3)
-        for m in range(1, N + 1)
         for k in range(1, p)
-        for alpha in (1, 2, p + 1)
     )
     out.append(PropertyResult("scaled-simplex periodicity congruence", ok))
 
@@ -209,27 +199,23 @@ def suite_simplex(grid=None) -> list[PropertyResult]:
 
 
 def suite_rootlog(grid=None) -> list[PropertyResult]:
-    out = []
+    depths = {(p, N): _depths(p, N) for p, N in ROOTLOG_CONTEXTS}
 
+    # depth <= k exactly when e * p^k vanishes mod p^N
     ok = True
-    for p, N in ROOTLOG_CONTEXTS:
-        q = p**N
-        for e in range(q):
-            d = depth_of(e, p, N)
-            # depth <= k exactly when e * p^k vanishes mod p^N
-            memberships = [e * p**k % q == 0 for k in range(N + 1)]
-            if [k >= d for k in range(N + 1)] != memberships:
-                ok = False
-    out.append(PropertyResult("depth matches root-of-unity order membership", ok))
+    for (p, N), depth in depths.items():
+        k = np.arange(N + 1)
+        memberships = np.outer(np.arange(p**N), p**k) % p**N == 0
+        ok &= np.array_equal(k >= depth[:, None], memberships)
+    out = [PropertyResult("depth matches root-of-unity order membership", ok)]
 
     # The p^k-th roots of unity form a group, so a product is never
     # deeper than its deeper factor.
     ok = True
-    for p, N in ROOTLOG_CONTEXTS:
+    for (p, N), depth in depths.items():
         q = p**N
-        depths = _depths(p, N)
         sums = np.add.outer(np.arange(q), np.arange(q)) % q
-        ok &= bool(np.all(depths[sums] <= np.maximum.outer(depths, depths)))
+        ok &= bool(np.all(depth[sums] <= np.maximum.outer(depth, depth)))
     out.append(PropertyResult("product depth bounded by max of factor depths", ok))
     return out
 
@@ -401,14 +387,13 @@ def suite_counting(grid=None) -> list[PropertyResult]:
 
 
 def suite_zeta(grid=None) -> list[PropertyResult]:
+    closed = {n: zeta.zeta_closed_form(n) for n in range(2, 11)}
     out = []
-    ok = all(zeta.functional_equation_factor(n) == n - 1 for n in range(2, 11))
+    ok = all(zeta.functional_equation_of(closed[n]) == n - 1 for n in range(2, 11))
     out.append(PropertyResult("functional equation with factor p^(n-1), n = 2..10", ok))
-    ok = all(zeta.abscissa(n) == Fraction(n - 2) for n in range(3, 11)) and zeta.abscissa(
-        2
-    ) == Fraction(1)
+    ok = all(zeta.abscissa_of(closed[n]) == Fraction(max(n - 2, 1)) for n in range(2, 11))
     out.append(PropertyResult("abscissa n-2 for n >= 3 and 1 for n = 2", ok))
-    ok = all(zeta.geometric_assembly(n) == zeta.zeta_closed_form(n) for n in range(2, 9))
+    ok = all(zeta.geometric_assembly(n) == closed[n] for n in range(2, 9))
     out.append(PropertyResult("geometric-series assembly reduces to the closed form", ok))
     ok = all(
         zeta.middle_term_partial_fractions(n) == zeta.middle_term_product(n)
@@ -417,9 +402,9 @@ def suite_zeta(grid=None) -> list[PropertyResult]:
     )
     out.append(PropertyResult("partial-fraction middle term matches its product form", ok))
     ok = (
-        zeta.series_coefficients(zeta.zeta_closed_form(3), 5, 2) == [1, 8, 56]
-        and zeta.series_coefficients(zeta.zeta_closed_form(2), 3, 3) == [1, 2, 6, 18]
-        and zeta.series_coefficients(zeta.zeta_closed_form(4), 5, 1) == [1, 28]
+        zeta.series_coefficients(closed[3], 5, 2) == [1, 8, 56]
+        and zeta.series_coefficients(closed[2], 3, 3) == [1, 2, 6, 18]
+        and zeta.series_coefficients(closed[4], 5, 1) == [1, 28]
     )
     out.append(PropertyResult("series expansions hit the reference values", ok))
     return out

@@ -12,8 +12,8 @@ Subcommands:
 
 All numeric output is exact; large values travel as decimal strings in
 JSON.  Exit codes: 0 success/agreement, 1 disagreement or failed
-properties, 2 bad configuration (non-prime p, exceptional prime,
-exceeded budget, a count too long to print, malformed arguments).
+properties, 2 bad configuration (non-prime or uncertifiable p, exceptional
+prime, exceeded budget, a count too long to print, malformed arguments).
 """
 
 from __future__ import annotations

@@ -32,19 +32,15 @@ _MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below 3.3 * 10^24, trial division above."""
+    """Exact primality by deterministic Miller-Rabin, decisive below 3.3 * 10^24.
+
+    Above it, a witness still proves n composite; an n no base exposes is refused.
+    """
     if n < 2:
         return False
     for b in _MILLER_RABIN_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MILLER_RABIN_EXACT_BELOW:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -59,6 +55,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"p={n} passes Miller-Rabin to the first 13 prime bases, which "
+                         f"proves primality only below {_MILLER_RABIN_EXACT_BELOW}")
     return True
 
 

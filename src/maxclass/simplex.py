@@ -11,7 +11,7 @@ Every diagonal entry of a standard-form eigenvalue table is a product of
 the defining eigenvalues raised to T_d(j-1), so these numbers (and their
 behaviour mod p^N) drive the whole package.  Residues are taken from
 the exact integers: ``simplex_row_mod`` reduces the exact table, and
-pointwise checks reduce ``simplex(k, j)``.
+``scaled_congruence_holds`` one closed-form row per (k, p, N).
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def simplex_row_mod(max_k: int, p: int, N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v % q for v in row) for row in table.values)
 
 
-def scaled_congruence_holds(k: int, p: int, N: int, m: int, alpha: int) -> bool:
-    """Periodicity of a*p^m*T_k(j-1) mod p^N with period p^(N-m).
+def scaled_congruence_holds(k: int, p: int, N: int, cases: list[tuple[int, int]]) -> bool:
+    """Periodicity of a*p^m*T_k(j-1) mod p^N with period p^(N-m), each (m, a) in ``cases``.
 
     Checks, exhaustively over the full range, that
 
@@ -93,20 +93,22 @@ def scaled_congruence_holds(k: int, p: int, N: int, m: int, alpha: int) -> bool:
 
     for all 1 <= beta < p^m and 0 <= j <= p^(N-m) - 1.  This is the
     congruence that makes eigenvalue tables built from non-primitive
-    roots repeat early, and it needs k! to be a unit, hence k < p.
+    roots repeat early, and it needs k! to be a unit, hence k < p.  Every
+    case scales one closed-form row T_k(0..p^N - 1) and compares it with
+    itself shifted by p^(N-m).
     """
     if not 1 <= k < p:
         raise ValueError(f"the congruence requires 1 <= k < p (got k={k}, p={p})")
-    if not 1 <= m <= N:
+    if not all(1 <= m <= N for m, _ in cases):
         raise ValueError("m must lie in [1, N]")
-    if alpha % p == 0:
+    if any(alpha % p == 0 for _, alpha in cases):
         raise ValueError("alpha must be coprime to p")
     q = p**N
-    step = p ** (N - m)
-    scale = alpha * p**m
-    for j in range(step):
-        base = scale * simplex(k, j) % q
-        for beta in range(1, p**m):
-            if scale * simplex(k, beta * step + j) % q != base:
-                return False
+    row = [simplex(k, j) for j in range(q)]
+    for m, alpha in cases:
+        step = p ** (N - m)
+        scale = alpha * p**m
+        scaled = [scale * t % q for t in row]
+        if scaled[step:] != scaled[:-step]:
+            return False
     return True

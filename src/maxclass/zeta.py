@@ -140,7 +140,9 @@ def divide_exact(
     The division runs down the t-degree (the divisor's leading
     t-coefficient -p^a is a unit in the Laurent ring).  A t-free factor
     (1 - p^a) is the same division with p and t swapped.  The factor
-    must be normalized (b >= 0, and a >= 0 when b = 0).
+    must be normalized (b >= 0, and a >= 0 when b = 0).  A multiple
+    vanishes at p = s^b, t = s^-a, as the factor does, so a nonzero
+    coefficient sum over any b*pe - a*te rejects num before dividing.
     """
     if not num:
         return BivariatePolynomial.zero()
@@ -151,6 +153,11 @@ def divide_exact(
             raise ValueError("cannot divide by the zero factor (1 - 1)")
         q = divide_exact(_swapped(num), 0, a)
         return None if q is None else _swapped(q)
+    at_root: Counter[int] = Counter()
+    for (pe, te), c in num.terms.items():
+        at_root[b * pe - a * te] += c
+    if any(at_root.values()):
+        return None
     terms = dict(num.terms)
     quotient: dict[tuple[int, int], int] = {}
     min_t = min(t for (_, t) in terms)
@@ -339,7 +346,11 @@ def abscissa(n: int) -> Fraction:
 
 def functional_equation_factor(n: int) -> int | None:
     """The exponent k with Z_n |_{p -> 1/p, t -> 1/t} = p^k Z_n, if any."""
-    f = zeta_closed_form(n)
+    return functional_equation_of(zeta_closed_form(n))
+
+
+def functional_equation_of(f: BivariateRationalFunction) -> int | None:
+    """The exponent k with f |_{p -> 1/p, t -> 1/t} = p^k f, if any."""
     g = f.invert_variables()
     if g.den_factors != f.den_factors or not f.num or not g.num:
         return None

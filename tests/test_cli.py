@@ -702,6 +702,19 @@ def test_verify_refuses_a_huge_pin_by_its_exponent(capsys, monkeypatch, suite, m
     ) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--n", "3", "--series", "1"],
+    ["count", "--n", "2", "--N", "1", "--method", "closed"],
+    ["verify", "--suite", "zeta", "--n", "3", "--N", "1"],
+])
+def test_a_prime_beyond_the_miller_rabin_bound_is_refused(capsys, argv):
+    # 2^89 - 1 is prime, but only trial division could certify it here.
+    p = str(2**89 - 1)
+    assert run_cli(capsys, *argv, "--p", p) == (2, "", (
+        f"error: p={p} passes Miller-Rabin to the first 13 prime bases, which proves "
+        "primality only below 3317044064679887385961981\n"))
+
+
 @pytest.mark.parametrize("suite", ["simplex", "zeta", "rootlog"])
 def test_verify_gridless_suites_run_at_an_exceptional_prime(capsys, suite):
     code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n", "5", "--p", "3", "--N", "1")

@@ -76,6 +76,26 @@ def test_is_prime_decides_large_primes_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+# 2^89 - 1 is prime, and 3317044064679887385961981, the bound itself, is
+# the least strong pseudoprime to all 13 bases (Sorenson and Webster).
+BIG_PRIME = 2**89 - 1
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_what_miller_rabin_cannot_certify():
+    start = time.perf_counter()
+    for n in (BIG_PRIME, PSI_13):
+        with pytest.raises(ValueError, match=f"^p={n} passes Miller-Rabin to the first 13 "
+                           f"prime bases, which proves primality only below {PSI_13}$"):
+            is_prime(n)
+    # A witness or a small factor still proves a large n composite.
+    for n in (BIG_PRIME * (2**61 - 1), BIG_PRIME + 2, PSI_13 + 2, 41 * BIG_PRIME):
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match=f"^p={n} is not prime$"):
+            PrimePower(n, 1)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_prime_power_validation():
     assert PrimePower(3, 2).dim == 9
     assert PrimePower(2, 0).dim == 1

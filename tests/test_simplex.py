@@ -135,13 +135,16 @@ def test_vanishing_at_full_period():
 
 
 def test_scaled_congruence_examples():
-    assert scaled_congruence_holds(1, 5, 2, 1, 2)
+    assert scaled_congruence_holds(1, 5, 2, [(1, 2)])
     # N = m collapses the j-range to {0}: trivially periodic
-    assert scaled_congruence_holds(2, 3, 1, 1, 1)
+    assert scaled_congruence_holds(2, 3, 1, [(1, 1)])
     with pytest.raises(ValueError):
-        scaled_congruence_holds(3, 3, 1, 1, 1)
+        scaled_congruence_holds(3, 3, 1, [(1, 1)])
     with pytest.raises(ValueError):
-        scaled_congruence_holds(1, 5, 2, 1, 5)
+        scaled_congruence_holds(1, 5, 2, [(1, 5)])
+    # One case outside its range refuses the whole call.
+    with pytest.raises(ValueError):
+        scaled_congruence_holds(1, 5, 2, [(1, 2), (3, 2)])
 
 
 def test_scaled_congruence_exhaustive():
@@ -150,7 +153,7 @@ def test_scaled_congruence_exhaustive():
             for m in range(1, N + 1):
                 for k in range(1, p):
                     for alpha in (1, 2, p + 1):
-                        assert scaled_congruence_holds(k, p, N, m, alpha)
+                        assert scaled_congruence_holds(k, p, N, [(m, alpha)])
 
 
 def test_row_table_matches_pointwise():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from maxclass.zeta import (
     BivariatePolynomial,
+    _swapped,
     BivariateRationalFunction,
     abscissa,
     abscissa_of,
@@ -43,24 +44,59 @@ def test_poly_specialize():
 
 
 small_polys = st.dictionaries(
-    st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
-    st.integers(-4, 4),
-    max_size=5,
+    st.tuples(st.integers(-3, 6), st.integers(-3, 6)),
+    st.integers(-9, 9),
+    max_size=8,
 ).map(BivariatePolynomial)
 
 good_factors = st.one_of(
-    st.tuples(st.integers(0, 3), st.integers(1, 2)),
-    st.tuples(st.integers(1, 3), st.just(0)),
+    st.tuples(st.integers(0, 4), st.integers(1, 3)),
+    st.tuples(st.integers(1, 4), st.just(0)),
 )
 
 
 @given(small_polys, good_factors)
-@settings(max_examples=200)
+@settings(max_examples=300)
 def test_division_round_trip(q, factor):
+    # Every multiple passes the reject in divide_exact, the t-free
+    # (swapped) factors included.
     a, b = factor
     product = q * (mono(1) - mono(1, a, b))
     result = divide_exact(product, a, b)
     assert result == q
+
+
+def _full_division(num, a, b):
+    """divide_exact without its evaluation reject: the division alone decides."""
+    if not num:
+        return BivariatePolynomial.zero()
+    if b == 0:
+        q = _full_division(_swapped(num), 0, a)
+        return None if q is None else _swapped(q)
+    terms = dict(num.terms)
+    quotient = {}
+    min_t = min(t for (_, t) in terms)
+    while terms:
+        d = max(t for (_, t) in terms)
+        if d - b < min_t:
+            return None
+        for pe, c in [(pe, c) for (pe, te), c in terms.items() if te == d]:
+            qk = (pe - a, d - b)
+            quotient[qk] = quotient.get(qk, 0) - c
+            terms[qk] = terms.get(qk, 0) + c
+            if terms[qk] == 0:
+                del terms[qk]
+            del terms[(pe, d)]
+    return BivariatePolynomial(quotient)
+
+
+@given(small_polys, good_factors, good_factors, small_polys)
+@settings(max_examples=300)
+def test_division_matches_the_full_division(g, made, tried, noise):
+    # Products of a drawn factor, near-multiples and plain polynomials:
+    # the reject may only cut short divisions that fail anyway.
+    for num in (g * (mono(1) - mono(1, *made)), g * (mono(1) - mono(1, *made)) + noise, g):
+        assert divide_exact(num, *tried) == _full_division(num, *tried)
 
 
 def test_division_detects_non_multiples():
